@@ -3,8 +3,10 @@
 #ifndef FLEXOS_BENCH_BENCH_UTIL_H_
 #define FLEXOS_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <string>
 
 #include "apps/iperf_client.h"
@@ -199,37 +201,46 @@ inline RedisPoint RunRedisMulti(const TestbedConfig& config,
   return point;
 }
 
-// Best-of-3 wall-time measurement for the dispatch ablations. The min wall
+// Min-of-N wall-time measurement for the dispatch ablations. The min wall
 // time is the least noise-polluted estimate; the charged model cycles are
-// deterministic, so the last repetition serves for all three.
+// deterministic, so the last repetition serves for all of them.
 struct LoopSample {
-  double wall_ns = 0;               // Per-call wall time, best of 3 reps.
+  double wall_ns = std::numeric_limits<double>::infinity();  // Per call.
   uint64_t model_cycles_total = 0;  // Charged cycles for one repetition.
 
   double CyclesPerCall(uint64_t iters) const {
     return static_cast<double>(model_cycles_total) /
            static_cast<double>(iters);
   }
+
+  // Folds one more repetition into the running min.
+  void Keep(const LoopSample& rep) {
+    wall_ns = std::min(wall_ns, rep.wall_ns);
+    model_cycles_total = rep.model_cycles_total;
+  }
 };
 
+// One timed repetition: `iters` back-to-back calls of `fn`.
+template <typename Fn>
+LoopSample TimeLoop(Machine& machine, uint64_t iters, Fn&& fn) {
+  const uint64_t cycles_before = machine.clock().cycles();
+  const auto start = std::chrono::steady_clock::now();
+  for (uint64_t i = 0; i < iters; ++i) {
+    fn();
+  }
+  const auto stop = std::chrono::steady_clock::now();
+  return LoopSample{
+      std::chrono::duration<double, std::nano>(stop - start).count() /
+          static_cast<double>(iters),
+      machine.clock().cycles() - cycles_before};
+}
+
+// Best of 3 back-to-back repetitions of one loop.
 template <typename Fn>
 LoopSample MeasureLoop(Machine& machine, uint64_t iters, Fn&& fn) {
   LoopSample best;
   for (int rep = 0; rep < 3; ++rep) {
-    const uint64_t cycles_before = machine.clock().cycles();
-    const auto start = std::chrono::steady_clock::now();
-    for (uint64_t i = 0; i < iters; ++i) {
-      fn();
-    }
-    const auto stop = std::chrono::steady_clock::now();
-    const uint64_t cycles_after = machine.clock().cycles();
-    const double wall_ns =
-        std::chrono::duration<double, std::nano>(stop - start).count() /
-        static_cast<double>(iters);
-    if (rep == 0 || wall_ns < best.wall_ns) {
-      best.wall_ns = wall_ns;
-    }
-    best.model_cycles_total = cycles_after - cycles_before;
+    best.Keep(TimeLoop(machine, iters, fn));
   }
   return best;
 }

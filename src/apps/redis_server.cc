@@ -403,14 +403,15 @@ void SpawnRedisServer(Testbed& bed, const RedisServerOptions& options,
             // TryCall so a trap inside the handler is contained by the
             // supervisor (when installed) instead of killing the image;
             // the connection dies, the server survives.
+            Image& image = bed.image();
             const Status status =
-                bed.image().TryCall(kLibPlatform, kLibApp, [&] {
+                image.TryCall(image.Resolve(kLibPlatform, kLibApp), [&] {
                   HandleRedisConnection(bed, options, conn, state, result);
                 });
             if (!status.ok()) {
               ++result->contained_faults;
               --state->handlers_live;
-              (void)bed.image().TryCall(kLibPlatform, kLibNet, [&] {
+              (void)image.TryCall(image.Resolve(kLibPlatform, kLibNet), [&] {
                 (void)bed.stack().tcp().Close(conn);
               });
             }

@@ -16,7 +16,7 @@ std::string_view GateKindName(GateKind kind) {
   return "?";
 }
 
-GateSession DirectGate::EnterImpl(Machine& machine,
+GateSession DirectGate::Enter(Machine& machine,
                               const GateCrossing& crossing) {
   machine.clock().Charge(machine.costs().direct_call);
   ++machine.stats().gate_crossings;
@@ -28,8 +28,8 @@ GateSession DirectGate::EnterImpl(Machine& machine,
   return session;
 }
 
-void DirectGate::ExitImpl(Machine& machine, const GateCrossing& crossing,
-                      const GateSession& session) {
+void DirectGate::Exit(Machine& machine, const GateCrossing& crossing,
+                 const GateSession& session) {
   (void)crossing;
   if (session.swapped) {
     machine.context() = session.caller;

@@ -17,6 +17,9 @@
 // can be held open across a batch of bodies (GateBatch): Enter charges the
 // entry half and installs the target context, Exit charges the exit half
 // and restores the caller. Cross is the ordinary single-call composition.
+// Backends are pure mechanics: every observation of a crossing (counters,
+// latency, attributor frames, the trace span) is recorded by Image around
+// these calls (core/image.cc), once per crossing.
 //
 // Key state is per vCPU: Machine::context() resolves to the current vCPU's
 // ExecContext (its simulated PKRU register), so gates need no per-core
@@ -56,10 +59,6 @@ struct GateCrossing {
 struct GateSession {
   ExecContext caller;
   bool swapped = true;  // Whether Enter installed a target context.
-  // Virtual timestamp at Enter; Exit emits the crossing as one complete
-  // trace span (avoids begin/end pairs torn by ring wraparound). 0 when
-  // tracing was off at Enter.
-  uint64_t enter_ns = 0;
 };
 
 class Gate {
@@ -71,34 +70,12 @@ class Gate {
   // Entry half of a crossing: charges this backend's entry costs (including
   // argument marshalling for crossing.arg_bytes) and installs the target
   // context. Counts as one gate crossing in the machine stats.
-  GateSession Enter(Machine& machine, const GateCrossing& crossing) {
-    const bool tracing = machine.tracer().enabled();
-    const uint64_t t0 = tracing ? machine.tracer().NowNs() : 0;
-    GateSession session = EnterImpl(machine, crossing);
-    session.enter_ns = t0;
-    return session;
-  }
+  virtual GateSession Enter(Machine& machine, const GateCrossing& crossing) = 0;
 
   // Exit half: charges the exit costs (including return marshalling for
   // crossing.ret_bytes) and restores the caller context saved at Enter.
-  // When tracing, emits the whole crossing (entry + body/batch + exit) as a
-  // complete span on the target compartment's track.
-  void Exit(Machine& machine, const GateCrossing& crossing,
-            const GateSession& session) {
-    ExitImpl(machine, crossing, session);
-    obs::Tracer& tracer = machine.tracer();
-    if (tracer.enabled()) {
-      const int target = crossing.target_context != nullptr
-                             ? crossing.target_context->compartment
-                             : session.caller.compartment;
-      tracer.RecordComplete(obs::TraceCat::kGate, GateKindName(kind()).data(),
-                            session.enter_ns,
-                            tracer.NowNs() - session.enter_ns,
-                            /*tid=*/target + 1, crossing.arg_bytes,
-                            crossing.ret_bytes,
-                            machine.attrib().current_request());
-    }
-  }
+  virtual void Exit(Machine& machine, const GateCrossing& crossing,
+                    const GateSession& session) = 0;
 
   // Cost of one body run inside an entered (batched) crossing: the near
   // call, plus — for backends that copy payloads across the boundary — the
@@ -120,26 +97,15 @@ class Gate {
     body();
     Exit(machine, crossing, session);
   }
-
- protected:
-  // Backend mechanics; cost charging and context swaps live here. The
-  // public Enter/Exit wrappers add the trace span around them.
-  virtual GateSession EnterImpl(Machine& machine,
-                                const GateCrossing& crossing) = 0;
-  virtual void ExitImpl(Machine& machine, const GateCrossing& crossing,
-                        const GateSession& session) = 0;
 };
 
 // Same-compartment (or no-isolation) call: a near call, nothing more.
 class DirectGate final : public Gate {
  public:
   GateKind kind() const override { return GateKind::kDirect; }
-
- protected:
-  GateSession EnterImpl(Machine& machine,
-                        const GateCrossing& crossing) override;
-  void ExitImpl(Machine& machine, const GateCrossing& crossing,
-                const GateSession& session) override;
+  GateSession Enter(Machine& machine, const GateCrossing& crossing) override;
+  void Exit(Machine& machine, const GateCrossing& crossing,
+            const GateSession& session) override;
 };
 
 }  // namespace flexos

@@ -14,37 +14,45 @@
 
 namespace flexos {
 
-namespace {
-
-// Opaque per-batch state parked in GateBatch's session storage: the gate
-// session plus the cycles the batch's Enter half cost, so BatchExit can
-// record one amortized entry+exit latency sample for the whole batch. The
-// gate/backend pair is pinned at BatchEnter so a backend swap landing
-// mid-batch (deferred until the batch drains) can never tear the
+// The observation state of one gate crossing, carried from its entry half
+// to its exit half. The gate-facing GateCrossing and GateSession travel
+// beside it, not inside it: folding them in makes Enter's returned session
+// a copy into this struct, which measured ~12 ns slower per cached call in
+// abl_gate_dispatch. The gate and backend are pinned at entry so a backend
+// swap landing mid-crossing (deferred until it drains) can never tear the
 // entry/exit pairing.
-struct BatchState {
-  GateSession session;
-  uint64_t entry_cycles = 0;
+struct Image::Crossing {
   Gate* gate = nullptr;
-  std::string_view backend;
+  // The boundary crossed; null for a same-compartment call, which gets no
+  // boundary counters, gate frame or latency sample.
   BoundaryRuntime* boundary = nullptr;
+  // Attribution name of the boundary's backend; set only when profiling.
+  std::string_view backend;
+  bool batch = false;      // Opened by a GateBatch: items run in between.
+  bool profiling = false;  // Attributor state at entry.
+  uint64_t entry_cycles = 0;  // Modeled cost of the entry half.
+  // Virtual time at Enter; the exit half emits the crossing as one
+  // complete trace span (no begin/end pair to tear on ring wraparound). 0
+  // when tracing was off at Enter.
+  uint64_t trace_ns = 0;
 };
 
-}  // namespace
+// An open batch's crossing, parked in GateBatch's session storage between
+// BatchEnter and BatchExit.
+struct Image::BatchState {
+  Crossing x;
+  GateCrossing mech;
+  GateSession session;
+};
 
-// Tracks one crossing through its boundary's gate; when the last in-flight
-// crossing drains (normal exit or TrapException unwind), a deferred
-// backend swap is applied.
+// Releases one in-flight crossing on scope exit — normal return or
+// TrapException unwind (see ReleaseInflight).
 class Image::InflightGuard {
  public:
-  InflightGuard(Image& image, BoundaryRuntime& b) : image_(image), b_(b) {
-    ++b_.inflight;
-  }
+  InflightGuard(Image& image, BoundaryRuntime* b) : image_(image), b_(b) {}
   ~InflightGuard() {
-    if (--b_.inflight == 0 && b_.has_pending) {
-      b_.has_pending = false;
-      ++image_.deferred_swaps_applied_;
-      image_.ApplyBoundaryBackend(b_, b_.pending);
+    if (b_ != nullptr) {
+      image_.ReleaseInflight(*b_);
     }
   }
 
@@ -53,7 +61,7 @@ class Image::InflightGuard {
 
  private:
   Image& image_;
-  BoundaryRuntime& b_;
+  BoundaryRuntime* b_;
 };
 
 std::string_view IsolationBackendName(IsolationBackend backend) {
@@ -185,30 +193,6 @@ void Image::ValidateDispatch(std::string_view from, std::string_view to) {
           "allowed-call set (metadata drift: declare the call in %s's "
           "[Call] list or co-locate the libraries)",
           key.c_str(), std::string(from).c_str())});
-}
-
-void Image::CallLeaf(std::string_view from, std::string_view to,
-                     FunctionRef<void()> body) {
-  (void)from;
-  ++stats_.leaf_calls;
-  machine_.clock().Charge(machine_.costs().direct_call);
-  if (to == kLibPlatform) {
-    body();
-    return;
-  }
-  const LibRuntime& target = LibOf(to);
-  // Caller's protection domain, target's instrumentation.
-  ExecContext leaf = machine_.context();
-  if (target.hardened) {
-    machine_.clock().Charge(machine_.costs().sh_call_overhead);
-    leaf.mem_cost_multiplier = machine_.costs().sh_mem_multiplier;
-    leaf.shadow_checks = true;
-  } else {
-    leaf.mem_cost_multiplier = 1.0;
-    leaf.shadow_checks = false;
-  }
-  ScopedExecContext scope(machine_, leaf);
-  body();
 }
 
 RouteHandle Image::Resolve(std::string_view from, std::string_view to) {
@@ -373,11 +357,6 @@ void Image::ApplyBoundaryBackend(BoundaryRuntime& b,
   ++route_epoch_;
 }
 
-void Image::Call(std::string_view from, std::string_view to,
-                 FunctionRef<void()> body) {
-  Call(Resolve(from, to), body);
-}
-
 void Image::Call(const RouteHandle& route, FunctionRef<void()> body) {
   if (route.cross && route.epoch != route_epoch_) {
     // The handle predates a backend swap: re-resolve by names and dispatch
@@ -394,83 +373,22 @@ void Image::Call(const RouteHandle& route, FunctionRef<void()> body) {
   if (route.hardened) {
     machine_.clock().Charge(machine_.costs().sh_call_overhead);
   }
-  if (!route.cross) {
-    // Same protection domain: a direct call (still swaps instrumentation
-    // flags so per-library SH composes within one compartment).
-    ++stats_.same_compartment_calls;
-    GateCrossing crossing{.target_context = route.target_exec};
-    obs::Attributor& attrib = machine_.attrib();
-    if (attrib.enabled()) {
-      attrib.PushFrame(route.to, route.to_comp, machine_.clock().cycles());
-      direct_gate_.Cross(machine_, crossing, body);
-      attrib.PopFrame(machine_.clock().cycles());
-    } else {
-      direct_gate_.Cross(machine_, crossing, body);
-    }
-    return;
+  // Resolve gives every cross route its gate and boundary.
+  Crossing x;
+  GateCrossing mech{.target_context = route.target_exec};
+  x.gate = &direct_gate_;
+  if (route.cross) {
+    mech.arg_bytes = kGateArgBytes;
+    mech.ret_bytes = kGateRetBytes;
+    x.gate = route.gate;
+    x.boundary = route.boundary;
   }
-
-  if (validate_dispatch_) {
-    ValidateDispatch(route.from, route.to);
-  }
-  if (machine_.injector().armed(fault::FaultSite::kGateCross)) {
-    MaybeInjectGateFault(route);
-  }
-  ++stats_.cross_compartment_calls;
-  BoundaryRuntime& boundary =
-      route.boundary != nullptr
-          ? *route.boundary
-          : BoundaryFor(route.from_comp, route.to_comp);
-  const obs::BoundaryRecorder* recorder = &boundary.recorder;
-  recorder->crossings->Add();
-  if (recorder->vcpu_crossings[0] != nullptr) {
-    recorder->vcpu_crossings[machine_.current_vcpu()]->Add();
-  }
-  recorder->bytes->Add(kGateArgBytes + kGateRetBytes);
-  GateCrossing crossing{.target_context = route.target_exec,
-                        .arg_bytes = kGateArgBytes,
-                        .ret_bytes = kGateRetBytes};
-  Gate* gate = route.gate != nullptr ? route.gate : &direct_gate_;
+  const GateSession session = OpenCrossing(route, mech, x);
   // Holds any swap requested while this crossing is inside the gate until
   // it (and every other in-flight crossing) drains — even via trap unwind.
-  InflightGuard inflight(*this, boundary);
-  // Enter/body/Exit inlined (vs gate->Cross) so the latency histogram can
-  // capture the gate's own overhead — entry half + exit half, in modeled
-  // cycles — while excluding the body. The attributor frames mirror that
-  // split exactly: gate halves charge gate:<backend>, the body charges the
-  // target compartment, and the caller's frame resumes after Exit.
-  // machine_.clock() is re-read at each step, not cached: the body may
-  // block and resume on a different vCPU, and each overhead half must be
-  // measured as a delta on whichever vCPU clock ran it.
-  obs::Attributor& attrib = machine_.attrib();
-  const bool profiling = attrib.enabled();
-  const std::string_view backend = IsolationBackendName(boundary.backend);
-  const uint64_t t0 = machine_.clock().cycles();
-  if (profiling) {
-    attrib.PushGateFrame(backend, t0);
-  }
-  const GateSession session = gate->Enter(machine_, crossing);
-  // Enter never blocks, so this delta stays on the entry vCPU's clock.
-  const uint64_t entry_cycles = machine_.clock().cycles() - t0;
-  if (profiling) {
-    attrib.PopFrame(machine_.clock().cycles());
-    attrib.PushFrame(route.to, route.to_comp, machine_.clock().cycles());
-  }
+  InflightGuard inflight(*this, x.boundary);
   body();
-  const uint64_t t1 = machine_.clock().cycles();
-  if (profiling) {
-    attrib.PopFrame(t1);
-    attrib.PushGateFrame(backend, t1);
-  }
-  gate->Exit(machine_, crossing, session);
-  const uint64_t overhead_ns = machine_.clock().CyclesToNanos(
-      entry_cycles + (machine_.clock().cycles() - t1));
-  recorder->latency_ns->Record(overhead_ns);
-  if (profiling) {
-    attrib.PopFrame(machine_.clock().cycles());
-    attrib.OnGateCrossing(backend, route.from_comp, route.to_comp,
-                          overhead_ns);
-  }
+  CloseCrossing(route, mech, session, x);
 }
 
 void Image::CallLeaf(const RouteHandle& route, FunctionRef<void()> body) {
@@ -480,6 +398,7 @@ void Image::CallLeaf(const RouteHandle& route, FunctionRef<void()> body) {
     body();
     return;
   }
+  // Caller's protection domain, target's instrumentation.
   ExecContext leaf = machine_.context();
   if (route.hardened) {
     machine_.clock().Charge(machine_.costs().sh_call_overhead);
@@ -498,53 +417,22 @@ void Image::BatchEnter(const RouteHandle& route, GateBatch& batch) {
                 "BatchState must fit the batch's opaque storage");
   static_assert(std::is_trivially_destructible_v<BatchState>,
                 "BatchExit does not run a BatchState destructor");
-  FLEXOS_CHECK(route.cross && route.gate != nullptr && !route.vm_local,
+  FLEXOS_CHECK(route.cross && route.boundary != nullptr && !route.vm_local,
                "GateBatch needs a resolved cross-compartment route");
-  if (validate_dispatch_) {
-    ValidateDispatch(route.from, route.to);
-  }
-  if (machine_.injector().armed(fault::FaultSite::kGateCross)) {
-    MaybeInjectGateFault(route);
-  }
-  ++stats_.cross_compartment_calls;
-  BoundaryRuntime& boundary =
-      route.boundary != nullptr
-          ? *route.boundary
-          : BoundaryFor(route.from_comp, route.to_comp);
   if (route.epoch != route_epoch_) {
     // Stale handle: the batch transparently runs on the boundary's current
-    // backend (gate and attribution name are taken from the boundary, not
-    // the handle, below).
+    // backend (the gate is taken from the boundary, not the handle).
     ++route_reresolves_;
   }
-  // Pin the gate/backend for the batch's whole lifetime; a swap requested
-  // mid-batch defers until BatchExit drains the in-flight count.
-  Gate* gate = &GateForBackend(boundary.backend);
-  const std::string_view backend = IsolationBackendName(boundary.backend);
-  boundary.recorder.crossings->Add();
-  if (boundary.recorder.vcpu_crossings[0] != nullptr) {
-    boundary.recorder.vcpu_crossings[machine_.current_vcpu()]->Add();
-  }
+  Crossing x;
+  x.boundary = route.boundary;
+  x.gate = &GateForBackend(x.boundary->backend);
+  x.batch = true;
   // Notification-only entry: the batch opens the boundary with no argument
   // payload; each item marshals its own (ChargeBatchItem).
-  GateCrossing entry{.target_context = route.target_exec};
-  obs::Attributor& attrib = machine_.attrib();
-  const bool profiling = attrib.enabled();
-  const uint64_t t0 = machine_.clock().cycles();
-  if (profiling) {
-    attrib.PushGateFrame(backend, t0);
-  }
-  ++boundary.inflight;
-  GateSession session = gate->Enter(machine_, entry);
-  auto* state = new (batch.session()) BatchState{};
-  state->session = session;
-  state->entry_cycles = machine_.clock().cycles() - t0;
-  state->gate = gate;
-  state->backend = backend;
-  state->boundary = &boundary;
-  if (profiling) {
-    attrib.PopFrame(machine_.clock().cycles());
-  }
+  const GateCrossing mech{.target_context = route.target_exec};
+  const GateSession session = OpenCrossing(route, mech, x);
+  new (batch.session()) BatchState{x, mech, session};
   // Caller code keeps running between items under its own context; the
   // restore is free — the modeled domain stays open for the batch.
   machine_.context() = session.caller;
@@ -552,62 +440,163 @@ void Image::BatchEnter(const RouteHandle& route, GateBatch& batch) {
 
 void Image::BatchItem(const RouteHandle& route, GateBatch& batch,
                       FunctionRef<void()> body) {
-  const auto* state = static_cast<const BatchState*>(batch.session());
-  const obs::BoundaryRecorder* recorder = &state->boundary->recorder;
-  recorder->batched->Add();
-  recorder->bytes->Add(kGateArgBytes + kGateRetBytes);
+  const BatchState& state = *static_cast<BatchState*>(batch.session());
+  const obs::BoundaryRecorder& recorder = state.x.boundary->recorder;
+  recorder.batched->Add();
+  recorder.bytes->Add(kGateArgBytes + kGateRetBytes);
   if (route.hardened) {
     machine_.clock().Charge(machine_.costs().sh_call_overhead);
   }
   // Per-item payload marshalling, priced by the open gate (no entry/exit,
   // no PKRU writes, no VM notifications). Charged under the caller's
   // context, where the item is queued.
-  obs::Attributor& attrib = machine_.attrib();
-  const bool profiling = attrib.enabled();
-  if (profiling) {
-    attrib.PushGateFrame(state->backend, machine_.clock().cycles());
-  }
-  state->gate->ChargeBatchItem(machine_, kGateArgBytes, kGateRetBytes);
-  if (profiling) {
-    attrib.PopFrame(machine_.clock().cycles());
-    attrib.PushFrame(route.to, route.to_comp, machine_.clock().cycles());
-  }
+  const uint64_t begin = BeginGateHalf(state.x);
+  state.x.gate->ChargeBatchItem(machine_, kGateArgBytes, kGateRetBytes);
+  EndGateHalf(state.x, begin);
+  TargetFrame(route, state.x, /*open=*/true);
   machine_.context() = *route.target_exec;
   body();
-  machine_.context() = state->session.caller;
-  if (profiling) {
-    attrib.PopFrame(machine_.clock().cycles());
-  }
+  machine_.context() = state.session.caller;
+  TargetFrame(route, state.x, /*open=*/false);
 }
 
 void Image::BatchExit(const RouteHandle& route, GateBatch& batch) {
-  const auto* state = static_cast<const BatchState*>(batch.session());
+  const BatchState& state = *static_cast<BatchState*>(batch.session());
   // Notification-only exit: return payloads were charged per item.
-  GateCrossing exit{.target_context = route.target_exec};
-  obs::Attributor& attrib = machine_.attrib();
-  const bool profiling = attrib.enabled();
-  const std::string_view backend = state->backend;
-  const uint64_t t0 = machine_.clock().cycles();
-  if (profiling) {
-    attrib.PushGateFrame(backend, t0);
+  CloseCrossing(route, state.mech, state.session, state.x);
+  ReleaseInflight(*state.x.boundary);
+}
+
+// --- The observation path ----------------------------------------------
+//
+// Every crossing kind — same-compartment call, cross-compartment call,
+// batch open/close, batch item — is observed here and only here: dispatch
+// validation, the fault probe, stats and boundary counters, the gate and
+// target attributor frames, the latency sample, OnGateCrossing, and the
+// trace span. The gates themselves are pure mechanics.
+
+// Bracket one gate half (entry, exit, or a batch item's marshalling): on a
+// boundary the half runs under the gate:<backend> attributor frame. End
+// returns the half's modeled cycles.
+uint64_t Image::BeginGateHalf(const Crossing& x) {
+  const uint64_t now = machine_.clock().cycles();
+  if (x.profiling && x.boundary != nullptr) {
+    machine_.attrib().PushGateFrame(x.backend, now);
   }
-  state->gate->Exit(machine_, exit, state->session);
-  // One latency sample per batched crossing: the amortized entry+exit
-  // overhead the batch paid for all of its items.
-  const obs::BoundaryRecorder* recorder = &state->boundary->recorder;
-  const uint64_t overhead_ns = machine_.clock().CyclesToNanos(
-      state->entry_cycles + (machine_.clock().cycles() - t0));
-  recorder->latency_ns->Record(overhead_ns);
-  if (profiling) {
-    attrib.PopFrame(machine_.clock().cycles());
-    attrib.OnGateCrossing(backend, route.from_comp, route.to_comp,
-                          overhead_ns);
+  return now;
+}
+
+uint64_t Image::EndGateHalf(const Crossing& x, uint64_t begin) {
+  // Gate halves never block, so this delta stays on one vCPU's clock.
+  const uint64_t now = machine_.clock().cycles();
+  if (x.profiling && x.boundary != nullptr) {
+    machine_.attrib().PopFrame(now);
   }
-  BoundaryRuntime& boundary = *state->boundary;
-  if (--boundary.inflight == 0 && boundary.has_pending) {
-    boundary.has_pending = false;
+  return now - begin;
+}
+
+// Opens or closes the target library's attributor frame.
+void Image::TargetFrame(const RouteHandle& route, const Crossing& x,
+                        bool open) {
+  if (!x.profiling) {
+    return;
+  }
+  // machine_.clock() is re-read, not cached: a body may block and resume
+  // on a different vCPU, and each frame edge lands on whichever vCPU clock
+  // ran it.
+  const uint64_t now = machine_.clock().cycles();
+  if (open) {
+    machine_.attrib().PushFrame(route.to, route.to_comp, now);
+  } else {
+    machine_.attrib().PopFrame(now);
+  }
+}
+
+// Entry half of every crossing kind; returns the gate's session.
+GateSession Image::OpenCrossing(const RouteHandle& route,
+                                const GateCrossing& mech, Crossing& x) {
+  x.profiling = machine_.attrib().enabled();
+  if (x.boundary == nullptr) {
+    // Same protection domain: a direct call (still swaps instrumentation
+    // flags so per-library SH composes within one compartment), charged
+    // whole to the target's frame.
+    ++stats_.same_compartment_calls;
+    TargetFrame(route, x, /*open=*/true);
+  } else {
+    if (validate_dispatch_) {
+      ValidateDispatch(route.from, route.to);
+    }
+    if (machine_.injector().armed(fault::FaultSite::kGateCross)) {
+      MaybeInjectGateFault(route);
+    }
+    ++stats_.cross_compartment_calls;
+    BoundaryRuntime& b = *x.boundary;
+    b.recorder.crossings->Add();
+    if (b.recorder.vcpu_crossings[0] != nullptr) {
+      b.recorder.vcpu_crossings[machine_.current_vcpu()]->Add();
+    }
+    // Zero for a batch's notification-only entry; items add their own.
+    b.recorder.bytes->Add(mech.arg_bytes + mech.ret_bytes);
+    ++b.inflight;
+    if (x.profiling) {
+      x.backend = IsolationBackendName(b.backend);
+    }
+  }
+  // The gate halves are timed apart from the body: the latency sample is
+  // the gate's own overhead, entry half + exit half, in modeled cycles.
+  const uint64_t begin = BeginGateHalf(x);
+  obs::Tracer& tracer = machine_.tracer();
+  x.trace_ns = tracer.enabled() ? tracer.NowNs() : 0;
+  GateSession session = x.gate->Enter(machine_, mech);
+  x.entry_cycles = EndGateHalf(x, begin);
+  if (x.boundary != nullptr && !x.batch) {
+    TargetFrame(route, x, /*open=*/true);
+  }
+  return session;
+}
+
+// Exit half of every crossing kind.
+void Image::CloseCrossing(const RouteHandle& route, const GateCrossing& mech,
+                          const GateSession& session, const Crossing& x) {
+  if (x.boundary != nullptr && !x.batch) {
+    TargetFrame(route, x, /*open=*/false);
+  }
+  const uint64_t begin = BeginGateHalf(x);
+  x.gate->Exit(machine_, mech, session);
+  const uint64_t exit_cycles = EndGateHalf(x, begin);
+  // The whole crossing (entry + body or batch + exit) as one span on the
+  // target compartment's track.
+  obs::Tracer& tracer = machine_.tracer();
+  if (tracer.enabled()) {
+    const int target = mech.target_context != nullptr
+                           ? mech.target_context->compartment
+                           : session.caller.compartment;
+    tracer.RecordComplete(obs::TraceCat::kGate,
+                          GateKindName(x.gate->kind()).data(), x.trace_ns,
+                          tracer.NowNs() - x.trace_ns, /*tid=*/target + 1,
+                          mech.arg_bytes, mech.ret_bytes,
+                          machine_.attrib().current_request());
+  }
+  if (x.boundary == nullptr) {
+    TargetFrame(route, x, /*open=*/false);
+    return;
+  }
+  // One latency sample per crossing; for a batch, the amortized entry+exit
+  // overhead it paid for all of its items.
+  const uint64_t overhead_ns =
+      machine_.clock().CyclesToNanos(x.entry_cycles + exit_cycles);
+  x.boundary->recorder.latency_ns->Record(overhead_ns);
+  if (x.profiling) {
+    machine_.attrib().OnGateCrossing(x.backend, route.from_comp,
+                                     route.to_comp, overhead_ns);
+  }
+}
+
+void Image::ReleaseInflight(BoundaryRuntime& b) {
+  if (--b.inflight == 0 && b.has_pending) {
+    b.has_pending = false;
     ++deferred_swaps_applied_;
-    ApplyBoundaryBackend(boundary, boundary.pending);
+    ApplyBoundaryBackend(b, b.pending);
   }
 }
 
@@ -710,11 +699,6 @@ void Image::CallNamed(std::string_view from, std::string_view to,
     }
   }
   Call(from, to, body);
-}
-
-Status Image::TryCall(std::string_view from, std::string_view to,
-                      FunctionRef<void()> body) {
-  return TryCall(Resolve(from, to), body);
 }
 
 Status Image::TryCall(const RouteHandle& route, FunctionRef<void()> body) {

@@ -95,31 +95,25 @@ class Image final : public GateRouter {
   IsolationBackend backend() const { return backend_; }
 
   // --- GateRouter --------------------------------------------------------
+  //
+  // Resolve computes the route once (compartment pair, target context,
+  // gate, hardening flags) against state fixed at image build; hot
+  // components resolve their routes at construction. Unknown library names
+  // panic: an image must know its members (a mis-built image, not a
+  // runtime condition). The by-name GateRouter::Call helper resolves per
+  // call and charges exactly what a cached route charges.
 
-  // Routes a cross-library call through the configured gate. Unknown
-  // library names panic: an image must know its members (a mis-built
-  // image, not a runtime condition).
-  void Call(std::string_view from, std::string_view to,
-            FunctionRef<void()> body) override;
+  using GateRouter::Call;
+
+  RouteHandle Resolve(std::string_view from, std::string_view to) override;
+
+  // Routes a cross-library call through the boundary's gate.
+  void Call(const RouteHandle& route, FunctionRef<void()> body) override;
 
   // Leaf-routine call: runs in the caller's protection domain with the
   // target library's instrumentation (see GateRouter::CallLeaf). Also the
   // path taken by Call() for per-VM-replicated libraries under the VM
   // backend (the paper gives every VM its own allocator/scheduler/libc).
-  void CallLeaf(std::string_view from, std::string_view to,
-                FunctionRef<void()> body) override;
-
-  // --- Dispatch fast path ------------------------------------------------
-  //
-  // Resolve computes the route once (compartment pair, target context,
-  // gate, hardening flags) against state fixed at image build; the
-  // route-keyed Call/CallLeaf charge exactly what the string-keyed forms
-  // charge, minus the per-call name hashing. Hot components resolve their
-  // routes at construction.
-
-  RouteHandle Resolve(std::string_view from, std::string_view to) override;
-
-  void Call(const RouteHandle& route, FunctionRef<void()> body) override;
   void CallLeaf(const RouteHandle& route, FunctionRef<void()> body) override;
 
   // Batched crossings: one gate entry/exit pair for N bodies, plus
@@ -184,9 +178,7 @@ class Image final : public GateRouter {
   // Deferred swaps applied after their last in-flight crossing drained.
   uint64_t deferred_swaps_applied() const { return deferred_swaps_applied_; }
 
-  Status TryCall(std::string_view from, std::string_view to,
-                 FunctionRef<void()> body);
-  Status TryCall(const RouteHandle& route, FunctionRef<void()> body);
+  Status TryCall(const RouteHandle& route, FunctionRef<void()> body) override;
 
   // Value-returning supervised dispatch; mirrors GateRouter::CallR.
   template <typename F>
@@ -331,8 +323,23 @@ class Image final : public GateRouter {
   // Immediate half of SetBoundaryBackend: charge, re-point, bump epoch.
   void ApplyBoundaryBackend(BoundaryRuntime& b, IsolationBackend target);
 
-  // RAII in-flight tracking for one crossing; applies a deferred swap when
-  // the last crossing drains (including on TrapException unwind).
+  // --- The observation path (image.cc) ----------------------------------
+  //
+  // One observed crossing, carried from its entry half to its exit half,
+  // and the form a batch parks it in between BatchEnter and BatchExit.
+  struct Crossing;
+  struct BatchState;
+
+  GateSession OpenCrossing(const RouteHandle& route, const GateCrossing& mech,
+                           Crossing& x);
+  void CloseCrossing(const RouteHandle& route, const GateCrossing& mech,
+                     const GateSession& session, const Crossing& x);
+  uint64_t BeginGateHalf(const Crossing& x);
+  uint64_t EndGateHalf(const Crossing& x, uint64_t begin);
+  void TargetFrame(const RouteHandle& route, const Crossing& x, bool open);
+  // Ends one in-flight crossing of `b`; when the last one drains (normal
+  // exit or TrapException unwind), applies a swap deferred meanwhile.
+  void ReleaseInflight(BoundaryRuntime& b);
   class InflightGuard;
 
   Machine& machine_;

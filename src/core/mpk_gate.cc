@@ -4,7 +4,7 @@
 
 namespace flexos {
 
-GateSession MpkSharedStackGate::EnterImpl(Machine& machine,
+GateSession MpkSharedStackGate::Enter(Machine& machine,
                                       const GateCrossing& crossing) {
   FLEXOS_CHECK(crossing.target_context != nullptr,
                "MPK gate needs a target context");
@@ -19,8 +19,8 @@ GateSession MpkSharedStackGate::EnterImpl(Machine& machine,
   return session;
 }
 
-void MpkSharedStackGate::ExitImpl(Machine& machine, const GateCrossing& crossing,
-                              const GateSession& session) {
+void MpkSharedStackGate::Exit(Machine& machine, const GateCrossing& crossing,
+                         const GateSession& session) {
   (void)crossing;
   // Exit: WRPKRU back and clear registers again (no data may leak).
   machine.clock().Charge(machine.costs().register_clear);
@@ -28,7 +28,7 @@ void MpkSharedStackGate::ExitImpl(Machine& machine, const GateCrossing& crossing
   machine.Wrpkru(session.caller.pkru);
 }
 
-GateSession MpkSwitchedStackGate::EnterImpl(Machine& machine,
+GateSession MpkSwitchedStackGate::Enter(Machine& machine,
                                         const GateCrossing& crossing) {
   FLEXOS_CHECK(crossing.target_context != nullptr,
                "MPK gate needs a target context");
@@ -47,9 +47,8 @@ GateSession MpkSwitchedStackGate::EnterImpl(Machine& machine,
   return session;
 }
 
-void MpkSwitchedStackGate::ExitImpl(Machine& machine,
-                                const GateCrossing& crossing,
-                                const GateSession& session) {
+void MpkSwitchedStackGate::Exit(Machine& machine, const GateCrossing& crossing,
+                           const GateSession& session) {
   // Exit: copy the return value back, switch stacks, WRPKRU, scrub.
   if (crossing.ret_bytes > 0) {
     machine.ChargeMemOp(crossing.ret_bytes);

@@ -4,7 +4,7 @@
 
 namespace flexos {
 
-GateSession VmRpcGate::EnterImpl(Machine& machine,
+GateSession VmRpcGate::Enter(Machine& machine,
                              const GateCrossing& crossing) {
   FLEXOS_CHECK(crossing.target_context != nullptr,
                "VM gate needs a target context");
@@ -30,8 +30,8 @@ GateSession VmRpcGate::EnterImpl(Machine& machine,
   return session;
 }
 
-void VmRpcGate::ExitImpl(Machine& machine, const GateCrossing& crossing,
-                     const GateSession& session) {
+void VmRpcGate::Exit(Machine& machine, const GateCrossing& crossing,
+                const GateSession& session) {
   // Response: marshal the return value back, notify the caller VM.
   if (crossing.ret_bytes > 0) {
     machine.ChargeMemOp(crossing.ret_bytes);

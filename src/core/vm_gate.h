@@ -16,15 +16,11 @@ namespace flexos {
 class VmRpcGate final : public Gate {
  public:
   GateKind kind() const override { return GateKind::kVmRpc; }
-
+  GateSession Enter(Machine& machine, const GateCrossing& crossing) override;
+  void Exit(Machine& machine, const GateCrossing& crossing,
+            const GateSession& session) override;
   void ChargeBatchItem(Machine& machine, uint64_t arg_bytes,
                        uint64_t ret_bytes) override;
-
- protected:
-  GateSession EnterImpl(Machine& machine,
-                        const GateCrossing& crossing) override;
-  void ExitImpl(Machine& machine, const GateCrossing& crossing,
-                const GateSession& session) override;
 };
 
 }  // namespace flexos

@@ -159,23 +159,4 @@ void Machine::SyncAttribution() {
   }
 }
 
-void Machine::Wrpkru(Pkru pkru) {
-  clock().Charge(costs_.wrpkru);
-  ++stats_.wrpkru_count;
-  context().pkru = pkru;
-}
-
-void Machine::VmExitEnter() {
-  clock().Charge(2 * costs_.vmexit + costs_.vm_notify);
-  ++stats_.vmexit_count;
-}
-
-void Machine::ChargeCompute(uint64_t cycles) { clock().Charge(cycles); }
-
-void Machine::ChargeMemOp(uint64_t bytes) {
-  const uint64_t raw = costs_.CopyCycles(bytes);
-  clock().Charge(static_cast<uint64_t>(static_cast<double>(raw) *
-                                       context().mem_cost_multiplier));
-}
-
 }  // namespace flexos

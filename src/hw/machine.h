@@ -134,11 +134,18 @@ class Machine {
   void SyncAttribution();
 
   // Models the WRPKRU instruction: charges its cost and installs the value.
-  void Wrpkru(Pkru pkru);
+  void Wrpkru(Pkru pkru) {
+    clock().Charge(costs_.wrpkru);
+    ++stats_.wrpkru_count;
+    context().pkru = pkru;
+  }
 
   // Models a VM exit + re-entry pair plus the inter-VM notification; used by
   // the VM/EPT gate backend.
-  void VmExitEnter();
+  void VmExitEnter() {
+    clock().Charge(2 * costs_.vmexit + costs_.vm_notify);
+    ++stats_.vmexit_count;
+  }
 
   MachineStats& stats() { return stats_; }
   const MachineStats& stats() const { return stats_; }
@@ -180,10 +187,14 @@ class Machine {
   // Charges `cycles` of modeled computation. Compute charges are
   // instrumentation-insensitive: ASAN-class hardening taxes memory
   // operations (ChargeMemOp), not stall/branch-dominated fixed work.
-  void ChargeCompute(uint64_t cycles);
+  void ChargeCompute(uint64_t cycles) { clock().Charge(cycles); }
 
   // Charges a guest memory operation covering `bytes` bytes.
-  void ChargeMemOp(uint64_t bytes);
+  void ChargeMemOp(uint64_t bytes) {
+    const uint64_t raw = costs_.CopyCycles(bytes);
+    clock().Charge(static_cast<uint64_t>(static_cast<double>(raw) *
+                                         context().mem_cost_multiplier));
+  }
 
  private:
   struct VCpu {

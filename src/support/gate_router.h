@@ -1,13 +1,19 @@
 // GateRouter: the seam between micro-libraries and FlexOS gates. Substrate
 // code (netstack, libc, apps) never calls another micro-library directly; it
-// routes the call through this interface, naming the source and target
-// libraries — the runtime analog of the paper's `uk_gate_r` placeholders.
+// resolves a route naming the source and target libraries and calls through
+// this interface — the runtime analog of the paper's `uk_gate_r`
+// placeholders, each of which becomes exactly one gate per boundary.
 //
 // At image-build time core/image_builder.cc installs a router that maps
 // library names to compartments and charges/performs the configured gate
 // (direct call, MPK shared-stack, MPK switched-stack, VM RPC) plus the
 // matching ExecContext switch. The default DirectGateRouter models the
 // everything-in-one-compartment baseline.
+//
+// The virtual surface is route-only: Resolve turns names into a RouteHandle
+// once, and Call/CallLeaf/TryCall/Batch* dispatch through handles. The one
+// by-name entry point is the non-virtual Call(from, to, body) helper,
+// which resolves and then calls.
 //
 // Dispatch fast path (see DESIGN.md "Gate dispatch fast path"):
 //   * Bodies are passed by FunctionRef — no heap allocation, no
@@ -57,10 +63,10 @@ inline constexpr std::string_view kLibPlatform = "platform";
 // can cache handles at construction. The default-constructed handle is the
 // direct no-isolation route (what DirectGateRouter resolves everything to).
 struct RouteHandle {
-  // Source/target library names, kept for diagnostics and so routers that
-  // only implement the string-keyed virtuals still see route-keyed calls
-  // (the base class falls back through them). Callers must pass names that
-  // outlive the handle — the kLib* constants above do.
+  // Source/target library names, kept only for diagnostics (dispatch
+  // validation, fault messages) and so a handle with a stale epoch can
+  // re-resolve itself; dispatch never looks them up. Callers must pass
+  // names that outlive the handle — the kLib* constants above do.
   std::string_view from;
   std::string_view to;
   // Execution context of the target library (owned by the router); null for
@@ -94,31 +100,9 @@ class GateRouter {
  public:
   virtual ~GateRouter() = default;
 
-  // Executes `body` as a call from micro-library `from` into `to`,
-  // performing whatever domain transition the image configuration dictates.
-  virtual void Call(std::string_view from, std::string_view to,
-                    FunctionRef<void()> body) = 0;
-
-  // Executes `body` as a call into a *leaf routine* of library `to`
-  // (memcpy-class functions): such code is statically linked into every
-  // compartment, so it runs in the CALLER's protection domain — no gate,
-  // no domain switch — but carries the target library's instrumentation
-  // (a hardened libc means an instrumented memcpy everywhere it is
-  // inlined). Stateful services (semaphores, scheduler queues) must use
-  // Call instead.
-  virtual void CallLeaf(std::string_view from, std::string_view to,
-                        FunctionRef<void()> body) {
-    (void)from;
-    (void)to;
-    body();
-  }
-
-  // --- Route-cached fast path --------------------------------------------
-
   // Resolves the route `from` -> `to` once; the handle stays valid for the
-  // router's lifetime. The base router keeps only the names, so
-  // route-keyed calls funnel back through the string-keyed virtuals and
-  // subclasses that never override the fast path still behave identically.
+  // router's lifetime. The base router keeps only the names: the default
+  // direct route, which is all a router without compartments needs.
   virtual RouteHandle Resolve(std::string_view from, std::string_view to) {
     RouteHandle route;
     route.from = from;
@@ -126,21 +110,20 @@ class GateRouter {
     return route;
   }
 
-  // Call/CallLeaf through a resolved route: semantically identical to the
-  // string-keyed forms (same modeled charges), minus the name lookups.
-  virtual void Call(const RouteHandle& route, FunctionRef<void()> body) {
-    if (!route.to.empty()) {
-      Call(route.from, route.to, body);
-    } else {
-      body();
-    }
-  }
+  // Executes `body` as a call along `route`, performing whatever domain
+  // transition the image configuration dictates.
+  virtual void Call(const RouteHandle& route, FunctionRef<void()> body) = 0;
+
+  // Executes `body` as a call into a *leaf routine* of the route's target
+  // (memcpy-class functions): such code is statically linked into every
+  // compartment, so it runs in the CALLER's protection domain — no gate,
+  // no domain switch — but carries the target library's instrumentation
+  // (a hardened libc means an instrumented memcpy everywhere it is
+  // inlined). Stateful services (semaphores, scheduler queues) must use
+  // Call instead.
   virtual void CallLeaf(const RouteHandle& route, FunctionRef<void()> body) {
-    if (!route.to.empty()) {
-      CallLeaf(route.from, route.to, body);
-    } else {
-      body();
-    }
+    (void)route;
+    body();
   }
 
   // Like Call, but a router that supervises isolating boundaries (an Image
@@ -174,19 +157,22 @@ class GateRouter {
     (void)batch;
   }
 
+  // --- Non-virtual helpers -----------------------------------------------
+
+  // By-name dispatch: resolves the route on every call, then calls through
+  // it. Charges exactly what a cached RouteHandle charges, plus the host
+  // cost of the name lookups — which makes it the reference the route
+  // cache is measured against (bench/abl_gate_dispatch.cc). Hot code
+  // resolves once and keeps the handle.
+  void Call(std::string_view from, std::string_view to,
+            FunctionRef<void()> body) {
+    Call(Resolve(from, to), body);
+  }
+
   // Convenience wrapper for calls that produce a value. Exception-safe: the
   // result lives in a std::optional, so a throwing body or move leaves
   // nothing leaked, and a router that fails to run the body panics instead
   // of moving from uninitialized storage.
-  template <typename T>
-  T CallR(std::string_view from, std::string_view to,
-          FunctionRef<T()> body) {
-    std::optional<T> slot;
-    Call(from, to, [&] { slot.emplace(body()); });
-    FLEXOS_CHECK(slot.has_value(), "CallR body did not run");
-    return *std::move(slot);
-  }
-
   template <typename T>
   T CallR(const RouteHandle& route, FunctionRef<T()> body) {
     std::optional<T> slot;
@@ -232,7 +218,6 @@ class GateBatch {
   }
 
   uint64_t items() const { return items_; }
-  const RouteHandle& route() const { return route_; }
 
   // Opaque per-batch storage for the router: the image parks the saved
   // caller context plus the gate/backend pinned for the batch's lifetime
@@ -252,12 +237,9 @@ class GateBatch {
 class DirectGateRouter final : public GateRouter {
  public:
   using GateRouter::Call;
-  using GateRouter::CallLeaf;
 
-  void Call(std::string_view from, std::string_view to,
-            FunctionRef<void()> body) override {
-    (void)from;
-    (void)to;
+  void Call(const RouteHandle& route, FunctionRef<void()> body) override {
+    (void)route;
     body();
   }
 };

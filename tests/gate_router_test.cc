@@ -1,7 +1,7 @@
 // The gate dispatch fast path: FunctionRef, route resolution, cost parity
-// between string-keyed and route-keyed dispatch, batched crossings (one
-// modeled entry/exit pair for N bodies), per-boundary traffic counters, and
-// CallR's exception safety.
+// between by-name (resolve-per-call) and cached-route dispatch, batched
+// crossings (one modeled entry/exit pair for N bodies), per-boundary
+// traffic counters, and CallR's exception safety.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -114,7 +114,8 @@ TEST(GateRouterTest, RouteCallCostMatchesStringCall) {
       for (int i = 0; i < 3; ++i) {
         string_image->Call(kLibNet, kLibApp, [] {});
         string_image->Call(kLibApp, kLibSched, [] {});
-        string_image->CallLeaf(kLibNet, kLibLibc, [] {});
+        string_image->CallLeaf(string_image->Resolve(kLibNet, kLibLibc),
+                               [] {});
       }
       const RouteHandle to_app = route_image->Resolve(kLibNet, kLibApp);
       const RouteHandle to_sched = route_image->Resolve(kLibApp, kLibSched);
@@ -306,10 +307,9 @@ TEST(GateRouterTest, BatchOnNonImageRouterDegradesToCalls) {
    public:
     using GateRouter::Call;
     int calls = 0;
-    void Call(std::string_view from, std::string_view to,
-              FunctionRef<void()> body) override {
-      EXPECT_EQ(from, kLibNet);
-      EXPECT_EQ(to, kLibLibc);
+    void Call(const RouteHandle& route, FunctionRef<void()> body) override {
+      EXPECT_EQ(route.from, kLibNet);
+      EXPECT_EQ(route.to, kLibLibc);
       ++calls;
       body();
     }
@@ -325,9 +325,11 @@ TEST(GateRouterTest, BatchOnNonImageRouterDegradesToCalls) {
   EXPECT_EQ(ran, 2);
   EXPECT_EQ(router.calls, 2);
 
-  // Plain route-keyed calls take the same fallback.
+  // Plain route-keyed calls, and by-name calls through the resolve-then-call
+  // helper, land in the same override.
   router.Call(route, [] {});
-  EXPECT_EQ(router.calls, 3);
+  router.Call(kLibNet, kLibLibc, [] {});
+  EXPECT_EQ(router.calls, 4);
 }
 
 TEST(GateRouterTest, CallRReturnsValueThroughGates) {
@@ -336,9 +338,6 @@ TEST(GateRouterTest, CallRReturnsValueThroughGates) {
       ImageBuilder(machine)
           .Build(TwoCompartments(IsolationBackend::kMpkSwitchedStack))
           .value();
-  const int via_strings =
-      image->CallR<int>(kLibNet, kLibApp, [] { return 41; });
-  EXPECT_EQ(via_strings, 41);
   const RouteHandle route = image->Resolve(kLibNet, kLibApp);
   const int via_route = image->CallR<int>(route, [] { return 42; });
   EXPECT_EQ(via_route, 42);
@@ -346,8 +345,9 @@ TEST(GateRouterTest, CallRReturnsValueThroughGates) {
 
 TEST(GateRouterTest, CallRPropagatesExceptionsWithoutUb) {
   DirectGateRouter router;
+  const RouteHandle route = router.Resolve(kLibNet, kLibApp);
   EXPECT_THROW(
-      router.CallR<int>(kLibNet, kLibApp,
+      router.CallR<int>(route,
                         []() -> int { throw std::runtime_error("boom"); }),
       std::runtime_error);
 }
@@ -448,12 +448,11 @@ TEST(GateRouterDeathTest, CallRPanicsWhenBodyNeverRan) {
   // moved-from garbage.
   class SwallowingRouter final : public GateRouter {
    public:
-    using GateRouter::Call;
-    void Call(std::string_view, std::string_view,
-              FunctionRef<void()>) override {}
+    void Call(const RouteHandle&, FunctionRef<void()>) override {}
   };
   SwallowingRouter router;
-  EXPECT_DEATH(router.CallR<int>(kLibNet, kLibApp, [] { return 1; }),
+  const RouteHandle route = router.Resolve(kLibNet, kLibApp);
+  EXPECT_DEATH(router.CallR<int>(route, [] { return 1; }),
                "CallR body did not run");
 }
 

@@ -351,7 +351,7 @@ TEST(ImageSemantics, LeafCallKeepsCallerDomainWithTargetInstrumentation) {
 
   image->Call(kLibPlatform, "net", [&] {
     const Pkru net_pkru = machine.context().pkru;
-    image->CallLeaf("net", "libc", [&] {
+    image->CallLeaf(image->Resolve("net", "libc"), [&] {
       // Protection domain unchanged (still net's PKRU)...
       EXPECT_EQ(machine.context().pkru, net_pkru);
       // ...but libc's instrumentation applies.

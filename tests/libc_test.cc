@@ -181,10 +181,9 @@ TEST(SemaphoreTest, RoutedCallsGoThroughRouter) {
   class CountingRouter final : public GateRouter {
    public:
     int calls = 0;
-    void Call(std::string_view from, std::string_view to,
-              FunctionRef<void()> body) override {
-      EXPECT_EQ(from, kLibLibc);
-      EXPECT_EQ(to, kLibSched);
+    void Call(const RouteHandle& route, FunctionRef<void()> body) override {
+      EXPECT_EQ(route.from, kLibLibc);
+      EXPECT_EQ(route.to, kLibSched);
       ++calls;
       body();
     }

@@ -841,18 +841,50 @@ TEST(ObsIntegrationTest, GateSpansTracedWhenEnabled) {
   config.compartments = {{"net"}, {"app", "sched", "libc", "alloc"}};
   auto image = builder.Build(config).value();
 
+  // Every crossing adds exactly one complete gate span, on the target
+  // compartment's track, carrying the marshalled payload.
+  const auto gate_spans = [&machine] {
+    std::vector<obs::TraceEvent> spans;
+    for (const obs::TraceEvent& event : machine.tracer().Snapshot()) {
+      if (event.cat == obs::TraceCat::kGate &&
+          event.phase == obs::TracePhase::kComplete) {
+        spans.push_back(event);
+      }
+    }
+    return spans;
+  };
+  size_t seen = gate_spans().size();
+  const auto expect_one_new_span = [&](const char* name, int tid,
+                                       uint64_t arg_bytes,
+                                       uint64_t ret_bytes) {
+    const std::vector<obs::TraceEvent> spans = gate_spans();
+    ASSERT_EQ(spans.size(), ++seen);
+    EXPECT_STREQ(spans.back().name, name);
+    EXPECT_EQ(spans.back().tid, tid);
+    EXPECT_EQ(spans.back().a0, arg_bytes);
+    EXPECT_EQ(spans.back().a1, ret_bytes);
+  };
+
   const RouteHandle route = image->Resolve(kLibNet, kLibApp);
   image->Call(route, [] {});
+  expect_one_new_span("mpk-shared-stack", route.to_comp + 1, kGateArgBytes,
+                      kGateRetBytes);
 
-  bool saw_gate_span = false;
-  for (const obs::TraceEvent& event : machine.tracer().Snapshot()) {
-    if (event.cat == obs::TraceCat::kGate &&
-        event.phase == obs::TracePhase::kComplete) {
-      saw_gate_span = true;
-      EXPECT_EQ(event.tid, route.to_comp + 1);
+  // A batch is one crossing, not one per item; its notification-only
+  // open/close carry no payload.
+  {
+    GateBatch batch(*image, route);
+    for (int i = 0; i < 3; ++i) {
+      batch.Run([] {});
     }
   }
-  EXPECT_TRUE(saw_gate_span);
+  expect_one_new_span("mpk-shared-stack", route.to_comp + 1, 0, 0);
+
+  // A same-compartment call is one direct span.
+  const RouteHandle same = image->Resolve(kLibApp, kLibSched);
+  ASSERT_FALSE(same.cross);
+  image->Call(same, [] {});
+  expect_one_new_span("direct", same.to_comp + 1, 0, 0);
 }
 #endif  // FLEXOS_OBS_DISABLED
 
