@@ -17,7 +17,9 @@
 //   wall ns/call   — observability-off dispatch must stay within noise of
 //                    the cached-route fast path (abl_gate_dispatch.cc's
 //                    "cached" column); traced/profiled/watched runs may
-//                    pay the ring write and snapshot bookkeeping. Loosely
+//                    pay the ring write and snapshot bookkeeping. The
+//                    variants take turns within each repetition and keep
+//                    their min, as abl_gate_dispatch.cc does. Loosely
 //                    gated, full runs only (wall clock is noisy).
 // A second hard gate replays the watch variant twice on one backend and
 // requires the exported JSON timelines to be byte-identical: window
@@ -63,10 +65,14 @@ int main(int argc, char** argv) {
     }
   }
   const uint64_t kIters = smoke ? 2000 : 400000;
+  // Repetitions per variant; the reported wall time is the min over them.
+  const int kReps = 3;
+  constexpr int kVariants = 5;
 
   std::printf("# Observability overhead ablation: net -> app cached-route "
-              "crossing, %llu calls per variant%s\n",
-              static_cast<unsigned long long>(kIters),
+              "crossing, %llu calls per variant, min of %d interleaved "
+              "reps%s\n",
+              static_cast<unsigned long long>(kIters), kReps,
               smoke ? " (smoke)" : "");
   std::printf("%-14s %10s %10s %10s %10s %10s %12s %14s %9s\n", "backend",
               "obs-off", "trace-on", "profile-on", "watch-on", "critpath",
@@ -92,9 +98,13 @@ int main(int argc, char** argv) {
     // outside the cost model. Every variant's measured body polls the
     // time series so the disabled-path cost of the poll itself is part of
     // the obs-off column.
-    bench::LoopSample variants[5];
-    for (int variant = 0; variant < 5; ++variant) {
-      Machine machine;
+    Machine machines[kVariants];
+    std::unique_ptr<Image> images[kVariants];
+    RouteHandle routes[kVariants];
+    uint64_t sink = 0;
+    const auto body = [&sink] { ++sink; };
+    for (int variant = 0; variant < kVariants; ++variant) {
+      Machine& machine = machines[variant];
       machine.tracer().SetEnabled(variant >= 1);
       if (variant >= 2) {
         machine.attrib().SetEnabled(true, machine.clock().cycles());
@@ -110,76 +120,84 @@ int main(int argc, char** argv) {
         machine.timeseries().AddWatchdog(spec);
       }
       ImageBuilder builder(machine);
-      auto image = builder.Build(bench::NetOnlyConfig(backend)).value();
-      uint64_t sink = 0;
-      const auto body = [&sink] { ++sink; };
-      const RouteHandle route = image->Resolve(kLibNet, kLibApp);
+      images[variant] = builder.Build(bench::NetOnlyConfig(backend)).value();
+      routes[variant] = images[variant]->Resolve(kLibNet, kLibApp);
       for (int i = 0; i < 256; ++i) {
-        image->Call(route, body);  // Warm caches before timing.
+        images[variant]->Call(routes[variant], body);  // Warm caches.
       }
-      variants[variant] = bench::MeasureLoop(machine, kIters, [&] {
-        image->Call(route, body);
-        machine.PollTimeSeries();
-      });
-#ifndef FLEXOS_OBS_DISABLED
-      if (variant == 3 &&
-          (machine.timeseries().windows_captured() == 0 ||
-           machine.timeseries().violations_total() == 0)) {
-        std::fprintf(stderr,
-                     "watch variant captured %llu windows, %llu violations "
-                     "(expected both > 0)\n",
-                     static_cast<unsigned long long>(
-                         machine.timeseries().windows_captured()),
-                     static_cast<unsigned long long>(
-                         machine.timeseries().violations_total()));
-        watch_ok = false;
-      }
-      if (variant == 4) {
-        // Offline critical-path reconstruction: must reconcile exactly
-        // against the gate histograms, and every boundary must
-        // self-calibrate against the cost model's predicted per-crossing
-        // cost (uniform 64/16-byte gate frames on this path).
-        machine.SyncAttribution();
-        obs::CriticalPath critpath;
-        const Clock& clock = machine.clock();
-        critpath.Build(
-            machine.attrib(), machine.metrics(), machine.tracer().Snapshot(),
-            [&clock](uint64_t cycles) { return clock.CyclesToNanos(cycles); },
-            machine.costs().ipi);
-        if (!critpath.reconciled()) {
-          std::fprintf(stderr, "critpath variant (%s): %s\n",
-                       std::string(IsolationBackendName(backend)).c_str(),
-                       critpath.reconcile_detail().c_str());
-          critpath_ok = false;
-        }
-        const uint64_t predicted_ns = clock.CyclesToNanos(
-            PredictedCrossingCycles(machine.costs(), backend, kGateArgBytes,
-                                    kGateRetBytes));
-        bool any_boundary = false;
-        for (const obs::BoundaryShare& share : critpath.boundaries()) {
-          any_boundary = true;
-          if (share.gate_ns != share.crossings * predicted_ns) {
-            std::fprintf(stderr,
-                         "critpath variant (%s): boundary %s recorded "
-                         "%llu ns over %llu crossings, cost model predicts "
-                         "%llu ns/crossing\n",
-                         std::string(IsolationBackendName(backend)).c_str(),
-                         share.boundary.c_str(),
-                         static_cast<unsigned long long>(share.gate_ns),
-                         static_cast<unsigned long long>(share.crossings),
-                         static_cast<unsigned long long>(predicted_ns));
-            critpath_ok = false;
-          }
-        }
-        if (!any_boundary) {
-          std::fprintf(stderr,
-                       "critpath variant (%s): no gate boundaries found\n",
-                       std::string(IsolationBackendName(backend)).c_str());
-          critpath_ok = false;
-        }
-      }
-#endif
     }
+    // The variants take turns within every repetition, so a burst of host
+    // noise hits all five alike instead of one whole variant; each keeps
+    // its min over the repetitions.
+    bench::LoopSample variants[kVariants];
+    for (int rep = 0; rep < kReps; ++rep) {
+      for (int variant = 0; variant < kVariants; ++variant) {
+        Machine& machine = machines[variant];
+        Image& image = *images[variant];
+        const RouteHandle& route = routes[variant];
+        variants[variant].Keep(bench::TimeLoop(machine, kIters, [&] {
+          image.Call(route, body);
+          machine.PollTimeSeries();
+        }));
+      }
+    }
+#ifndef FLEXOS_OBS_DISABLED
+    const obs::TimeSeries& series = machines[3].timeseries();
+    if (series.windows_captured() == 0 || series.violations_total() == 0) {
+      std::fprintf(stderr,
+                   "watch variant captured %llu windows, %llu violations "
+                   "(expected both > 0)\n",
+                   static_cast<unsigned long long>(series.windows_captured()),
+                   static_cast<unsigned long long>(
+                       series.violations_total()));
+      watch_ok = false;
+    }
+    // Offline critical-path reconstruction: must reconcile exactly against
+    // the gate histograms, and every boundary must self-calibrate against
+    // the cost model's predicted per-crossing cost (uniform 64/16-byte gate
+    // frames on this path).
+    {
+      Machine& machine = machines[4];
+      machine.SyncAttribution();
+      obs::CriticalPath critpath;
+      const Clock& clock = machine.clock();
+      critpath.Build(
+          machine.attrib(), machine.metrics(), machine.tracer().Snapshot(),
+          [&clock](uint64_t cycles) { return clock.CyclesToNanos(cycles); },
+          machine.costs().ipi);
+      if (!critpath.reconciled()) {
+        std::fprintf(stderr, "critpath variant (%s): %s\n",
+                     std::string(IsolationBackendName(backend)).c_str(),
+                     critpath.reconcile_detail().c_str());
+        critpath_ok = false;
+      }
+      const uint64_t predicted_ns = clock.CyclesToNanos(
+          PredictedCrossingCycles(machine.costs(), backend, kGateArgBytes,
+                                  kGateRetBytes));
+      bool any_boundary = false;
+      for (const obs::BoundaryShare& share : critpath.boundaries()) {
+        any_boundary = true;
+        if (share.gate_ns != share.crossings * predicted_ns) {
+          std::fprintf(stderr,
+                       "critpath variant (%s): boundary %s recorded "
+                       "%llu ns over %llu crossings, cost model predicts "
+                       "%llu ns/crossing\n",
+                       std::string(IsolationBackendName(backend)).c_str(),
+                       share.boundary.c_str(),
+                       static_cast<unsigned long long>(share.gate_ns),
+                       static_cast<unsigned long long>(share.crossings),
+                       static_cast<unsigned long long>(predicted_ns));
+          critpath_ok = false;
+        }
+      }
+      if (!any_boundary) {
+        std::fprintf(stderr,
+                     "critpath variant (%s): no gate boundaries found\n",
+                     std::string(IsolationBackendName(backend)).c_str());
+        critpath_ok = false;
+      }
+    }
+#endif
     const bench::LoopSample& off = variants[0];
     const bench::LoopSample& traced = variants[1];
     const bench::LoopSample& profiled = variants[2];

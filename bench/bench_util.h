@@ -201,9 +201,11 @@ inline RedisPoint RunRedisMulti(const TestbedConfig& config,
   return point;
 }
 
-// Min-of-N wall-time measurement for the dispatch ablations. The min wall
-// time is the least noise-polluted estimate; the charged model cycles are
-// deterministic, so the last repetition serves for all of them.
+// Min-of-N wall-time measurement for the dispatch ablations. Benches run
+// one TimeLoop per variant within every repetition and Keep each, so a burst
+// of host noise hits all variants alike. The min wall time is the least
+// noise-polluted estimate; the charged model cycles are deterministic, so
+// the last repetition serves for all of them.
 struct LoopSample {
   double wall_ns = std::numeric_limits<double>::infinity();  // Per call.
   uint64_t model_cycles_total = 0;  // Charged cycles for one repetition.
@@ -233,16 +235,6 @@ LoopSample TimeLoop(Machine& machine, uint64_t iters, Fn&& fn) {
       std::chrono::duration<double, std::nano>(stop - start).count() /
           static_cast<double>(iters),
       machine.clock().cycles() - cycles_before};
-}
-
-// Best of 3 back-to-back repetitions of one loop.
-template <typename Fn>
-LoopSample MeasureLoop(Machine& machine, uint64_t iters, Fn&& fn) {
-  LoopSample best;
-  for (int rep = 0; rep < 3; ++rep) {
-    best.Keep(TimeLoop(machine, iters, fn));
-  }
-  return best;
 }
 
 inline std::string FormatRate(double gbps) {

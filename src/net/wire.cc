@@ -305,7 +305,7 @@ std::vector<uint8_t> BuildUdpFrame(const MacAddr& src_mac,
   return frame;
 }
 
-Result<ParsedFrame> ParseFrame(const std::vector<uint8_t>& frame) {
+Result<ParsedFrame> ParseFrame(std::span<const uint8_t> frame) {
   if (frame.size() < EthHeader::kSize + Ipv4Header::kSize) {
     return Status(ErrorCode::kInvalidArgument, "frame too short");
   }

@@ -8,6 +8,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -184,8 +185,10 @@ std::vector<uint8_t> BuildIcmpEchoFrame(const MacAddr& src_mac,
                                         const uint8_t* payload,
                                         size_t payload_size);
 
-// Parses an Ethernet frame down to the transport payload.
-Result<ParsedFrame> ParseFrame(const std::vector<uint8_t>& frame);
+// Parses an Ethernet frame down to the transport payload. Takes a view, so
+// callers holding a vector, an array or a slice of a larger buffer parse in
+// place.
+Result<ParsedFrame> ParseFrame(std::span<const uint8_t> frame);
 
 }  // namespace flexos
 

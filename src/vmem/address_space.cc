@@ -10,6 +10,56 @@ namespace {
 
 constexpr bool PageAligned(uint64_t value) { return value % kPageSize == 0; }
 
+// Backs every read of a page that was never written.
+constexpr PageData kZeroPage{};
+
+// A mapped page's backing, or null while no space has written it.
+PageData* Backing(PageEntry& entry) {
+  if (entry.data == nullptr) {
+    entry.data = entry.slot->get();
+  }
+  return entry.data;
+}
+
+// A mapped page's bytes and shadow for reading: the zero page if unbacked.
+const PageData& Contents(PageEntry& entry) {
+  const PageData* data = Backing(entry);
+  return data != nullptr ? *data : kZeroPage;
+}
+
+// A mapped page's backing for writing, allocated on first use. Callers run
+// every check of the access first, so a trapping access allocates nothing.
+PageData& Materialize(PageEntry& entry) {
+  if (Backing(entry) == nullptr) {
+    *entry.slot = std::make_unique<PageData>();
+    entry.data = entry.slot->get();
+  }
+  return *entry.data;
+}
+
+// In-page offset of the first byte of [off, off+span) that the shadow marks
+// unaddressable, or kPageSize if there is none. A partially addressable
+// granule (shadow < kShadowGranule) admits its first `shadow` bytes; an
+// access past them is reported at its first byte inside that granule.
+uint64_t FirstPoisonedByte(const PageData& page, uint64_t off, uint64_t span) {
+  const uint64_t end = off + span;
+  for (uint64_t g = off / kShadowGranule; g <= (end - 1) / kShadowGranule;
+       ++g) {
+    const uint8_t shadow = page.shadow[g];
+    if (shadow == kShadowAddressable) {
+      continue;
+    }
+    const uint64_t granule_begin = g * kShadowGranule;
+    if (shadow < kShadowGranule &&
+        std::min(end, granule_begin + kShadowGranule) - granule_begin <=
+            shadow) {
+      continue;
+    }
+    return std::max(off, granule_begin);
+  }
+  return kPageSize;
+}
+
 }  // namespace
 
 AddressSpace::AddressSpace(Machine& machine, std::string name,
@@ -38,11 +88,14 @@ Status AddressSpace::Map(Gaddr addr, uint64_t size, Pkey key, bool writable) {
                               static_cast<unsigned long long>(i * kPageSize)));
     }
   }
-  for (uint64_t i = first; i < first + count; ++i) {
-    pages_[i].data = std::make_shared<PageData>();
-    pages_[i].key = key;
-    pages_[i].writable = writable;
-    pages_[i].guard = false;
+  // One allocation for the whole range; each entry aliases its own slot.
+  const std::shared_ptr<PageSlot[]> region(new PageSlot[count]);
+  for (uint64_t i = 0; i < count; ++i) {
+    pages_[first + i] = PageEntry{.slot = std::shared_ptr<PageSlot>(
+                                      region, &region[i]),
+                                  .key = key,
+                                  .writable = writable,
+                                  .guard = false};
   }
   return Status::Ok();
 }
@@ -71,7 +124,8 @@ Status AddressSpace::MapAlias(Gaddr dst_addr, AddressSpace& source,
   for (uint64_t i = 0; i < count; ++i) {
     const PageEntry& src = source.pages_[src_addr / kPageSize + i];
     PageEntry& dst = pages_[dst_addr / kPageSize + i];
-    dst.data = src.data;  // Shared backing: writes are visible in both.
+    dst.slot = src.slot;  // Shared slot: writes are visible in both.
+    dst.data = src.data;
     dst.key = src.key;
     dst.writable = src.writable;
     dst.guard = false;
@@ -148,6 +202,12 @@ bool AddressSpace::IsMapped(Gaddr addr) const {
   return index < pages_.size() && pages_[index].mapped();
 }
 
+uint64_t AddressSpace::resident_pages() const {
+  return static_cast<uint64_t>(
+      std::count_if(pages_.begin(), pages_.end(),
+                    [](const PageEntry& page) { return page.resident(); }));
+}
+
 void AddressSpace::FaultUnmapped(Gaddr addr, AccessKind access) {
   ++machine_.stats().traps;
   RaiseTrap(TrapInfo{.kind = TrapKind::kPageFault,
@@ -157,8 +217,8 @@ void AddressSpace::FaultUnmapped(Gaddr addr, AccessKind access) {
                      .detail = StrFormat("space '%s'", name_.c_str())});
 }
 
-PageData& AddressSpace::ResolvePage(Gaddr addr, AccessKind access,
-                                    CheckMode mode) {
+PageEntry& AddressSpace::ResolvePage(Gaddr addr, AccessKind access,
+                                     CheckMode mode) {
   const uint64_t index = addr / kPageSize;
   if (index >= pages_.size()) {
     FaultUnmapped(addr, access);
@@ -190,38 +250,24 @@ PageData& AddressSpace::ResolvePage(Gaddr addr, AccessKind access,
                          .detail = StrFormat("space '%s'", name_.c_str())});
     }
   }
-  return *page.data;
+  return page;
 }
 
-void AddressSpace::CheckShadow(PageData& page, Gaddr addr,
+void AddressSpace::CheckShadow(const PageData& page, Gaddr addr,
                                uint64_t in_page_off, uint64_t span,
                                AccessKind access) {
-  const uint64_t first_granule = in_page_off / kShadowGranule;
-  const uint64_t last_granule = (in_page_off + span - 1) / kShadowGranule;
-  for (uint64_t g = first_granule; g <= last_granule; ++g) {
-    const uint8_t shadow = page.shadow[g];
-    if (shadow == kShadowAddressable) {
-      continue;
-    }
-    // Bytes of this access that fall inside granule g.
-    const uint64_t granule_begin = g * kShadowGranule;
-    const uint64_t begin = std::max(in_page_off, granule_begin);
-    const uint64_t end =
-        std::min(in_page_off + span, granule_begin + kShadowGranule);
-    if (shadow < kShadowGranule) {
-      // Partially addressable: first `shadow` bytes of the granule OK.
-      if (end - granule_begin <= shadow) {
-        continue;
-      }
-    }
-    ++machine_.stats().traps;
-    RaiseTrap(TrapInfo{
-        .kind = TrapKind::kAsanViolation,
-        .access = access,
-        .guest_addr = addr - in_page_off + begin,
-        .pkru = machine_.context().pkru.raw(),
-        .detail = StrFormat("shadow=0x%02x in '%s'", shadow, name_.c_str())});
+  const uint64_t bad = FirstPoisonedByte(page, in_page_off, span);
+  if (bad == kPageSize) {
+    return;
   }
+  ++machine_.stats().traps;
+  RaiseTrap(TrapInfo{
+      .kind = TrapKind::kAsanViolation,
+      .access = access,
+      .guest_addr = addr - in_page_off + bad,
+      .pkru = machine_.context().pkru.raw(),
+      .detail = StrFormat("shadow=0x%02x in '%s'",
+                          page.shadow[bad / kShadowGranule], name_.c_str())});
 }
 
 template <typename Fn>
@@ -238,48 +284,48 @@ void AddressSpace::ForEachChunk(Gaddr addr, uint64_t size, AccessKind access,
     const Gaddr current = addr + done;
     const uint64_t in_page_off = current % kPageSize;
     const uint64_t span = std::min(size - done, kPageSize - in_page_off);
-    PageData& page = ResolvePage(current, access, mode);
+    PageEntry& entry = ResolvePage(current, access, mode);
     if (mode == CheckMode::kChecked && machine_.context().shadow_checks) {
-      CheckShadow(page, current, in_page_off, span, access);
+      CheckShadow(Contents(entry), current, in_page_off, span, access);
     }
     if (mode == CheckMode::kChecked && machine_.race_detection() &&
         access != AccessKind::kExecute) {
       // flexrace probe: key-0 pages are the shared region — the only memory
       // visible from more than one compartment (and hence more than one
       // vCPU). Immutable pages cannot race.
-      const PageEntry& entry = pages_[current / kPageSize];
       if (entry.key == 0 && entry.writable) {
         machine_.ProbeSharedAccess(current, span,
                                    access == AccessKind::kWrite);
       }
     }
-    fn(page, in_page_off, span, done);
+    fn(entry, in_page_off, span, done);
     done += span;
   }
 }
 
 void AddressSpace::Read(Gaddr addr, void* dst, uint64_t size) {
   ForEachChunk(addr, size, AccessKind::kRead, CheckMode::kChecked,
-               [&](PageData& page, uint64_t off, uint64_t span,
+               [&](PageEntry& entry, uint64_t off, uint64_t span,
                    uint64_t done) {
                  std::memcpy(static_cast<uint8_t*>(dst) + done,
-                             page.bytes.data() + off, span);
+                             Contents(entry).bytes.data() + off, span);
                });
 }
 
 void AddressSpace::Write(Gaddr addr, const void* src, uint64_t size) {
   ForEachChunk(addr, size, AccessKind::kWrite, CheckMode::kChecked,
-               [&](PageData& page, uint64_t off, uint64_t span,
+               [&](PageEntry& entry, uint64_t off, uint64_t span,
                    uint64_t done) {
-                 std::memcpy(page.bytes.data() + off,
+                 std::memcpy(Materialize(entry).bytes.data() + off,
                              static_cast<const uint8_t*>(src) + done, span);
                });
 }
 
 void AddressSpace::Fill(Gaddr addr, uint8_t value, uint64_t size) {
   ForEachChunk(addr, size, AccessKind::kWrite, CheckMode::kChecked,
-               [&](PageData& page, uint64_t off, uint64_t span, uint64_t) {
-                 std::memset(page.bytes.data() + off, value, span);
+               [&](PageEntry& entry, uint64_t off, uint64_t span, uint64_t) {
+                 std::memset(Materialize(entry).bytes.data() + off, value,
+                             span);
                });
 }
 
@@ -296,106 +342,73 @@ void AddressSpace::Copy(Gaddr dst, Gaddr src, uint64_t size) {
 }
 
 void AddressSpace::Poison(Gaddr addr, uint64_t size, uint8_t code) {
-  if (size == 0) {
-    return;
-  }
-  uint64_t done = 0;
-  while (done < size) {
-    const Gaddr current = addr + done;
-    const uint64_t in_page_off = current % kPageSize;
-    const uint64_t span = std::min(size - done, kPageSize - in_page_off);
-    PageData& page =
-        ResolvePage(current, AccessKind::kWrite, CheckMode::kUnchecked);
-    // Poison whole granules; a partial head/tail granule is poisoned
-    // conservatively only when fully covered, else left as-is (the allocator
-    // aligns redzones to the granule so this path is exact in practice).
-    uint64_t begin = in_page_off;
-    uint64_t end = in_page_off + span;
-    uint64_t g_begin = (begin + kShadowGranule - 1) / kShadowGranule;
-    uint64_t g_end = end / kShadowGranule;
-    for (uint64_t g = g_begin; g < g_end; ++g) {
-      page.shadow[g] = code;
-    }
-    done += span;
-  }
+  ForEachChunk(
+      addr, size, AccessKind::kWrite, CheckMode::kUnchecked,
+      [&](PageEntry& entry, uint64_t off, uint64_t span, uint64_t) {
+        // Poison whole granules; a partial head/tail granule is poisoned
+        // conservatively only when fully covered, else left as-is (the
+        // allocator aligns redzones to the granule so this path is exact in
+        // practice).
+        PageData& page = Materialize(entry);
+        for (uint64_t g = (off + kShadowGranule - 1) / kShadowGranule;
+             g < (off + span) / kShadowGranule; ++g) {
+          page.shadow[g] = code;
+        }
+      });
 }
 
 void AddressSpace::Unpoison(Gaddr addr, uint64_t size) {
-  if (size == 0) {
-    return;
-  }
+  ForEachChunk(
+      addr, size, AccessKind::kWrite, CheckMode::kUnchecked,
+      [&](PageEntry& entry, uint64_t off, uint64_t span, uint64_t) {
+        PageData& page = Materialize(entry);
+        const uint64_t end = off + span;
+        for (uint64_t g = off / kShadowGranule;
+             g <= (end - 1) / kShadowGranule; ++g) {
+          const uint64_t granule_begin = g * kShadowGranule;
+          const uint64_t granule_end = granule_begin + kShadowGranule;
+          if (off <= granule_begin && end >= granule_end) {
+            page.shadow[g] = kShadowAddressable;
+          } else if (off <= granule_begin && end > granule_begin) {
+            // Partial tail: first (end - granule_begin) bytes addressable.
+            page.shadow[g] = static_cast<uint8_t>(end - granule_begin);
+          }
+          // A partial head (off inside the granule) cannot be represented
+          // by ASAN's encoding; leave the existing shadow byte untouched.
+        }
+      });
+}
+
+bool AddressSpace::IsPoisoned(Gaddr addr, uint64_t size) {
   uint64_t done = 0;
   while (done < size) {
     const Gaddr current = addr + done;
     const uint64_t in_page_off = current % kPageSize;
     const uint64_t span = std::min(size - done, kPageSize - in_page_off);
-    PageData& page =
-        ResolvePage(current, AccessKind::kWrite, CheckMode::kUnchecked);
-    const uint64_t begin = in_page_off;
-    const uint64_t end = in_page_off + span;
-    for (uint64_t g = begin / kShadowGranule;
-         g <= (end - 1) / kShadowGranule; ++g) {
-      const uint64_t granule_begin = g * kShadowGranule;
-      const uint64_t granule_end = granule_begin + kShadowGranule;
-      if (begin <= granule_begin && end >= granule_end) {
-        page.shadow[g] = kShadowAddressable;
-      } else if (begin <= granule_begin && end > granule_begin) {
-        // Partial tail: first (end - granule_begin) bytes addressable.
-        page.shadow[g] = static_cast<uint8_t>(end - granule_begin);
-      }
-      // A partial head (begin inside the granule) cannot be represented by
-      // ASAN's encoding; leave the existing shadow byte untouched.
-    }
-    done += span;
-  }
-}
-
-bool AddressSpace::IsPoisoned(Gaddr addr, uint64_t size) {
-  bool poisoned = false;
-  uint64_t done = 0;
-  while (done < size && !poisoned) {
-    const Gaddr current = addr + done;
-    const uint64_t in_page_off = current % kPageSize;
-    const uint64_t span = std::min(size - done, kPageSize - in_page_off);
-    PageData& page =
+    PageEntry& entry =
         ResolvePage(current, AccessKind::kRead, CheckMode::kUnchecked);
-    const uint64_t first = in_page_off / kShadowGranule;
-    const uint64_t last = (in_page_off + span - 1) / kShadowGranule;
-    for (uint64_t g = first; g <= last; ++g) {
-      const uint8_t shadow = page.shadow[g];
-      if (shadow == kShadowAddressable) {
-        continue;
-      }
-      const uint64_t granule_begin = g * kShadowGranule;
-      const uint64_t begin = std::max(in_page_off, granule_begin);
-      const uint64_t end =
-          std::min(in_page_off + span, granule_begin + kShadowGranule);
-      if (shadow < kShadowGranule && end - granule_begin <= shadow) {
-        continue;
-      }
-      (void)begin;
-      poisoned = true;
-      break;
+    if (FirstPoisonedByte(Contents(entry), in_page_off, span) != kPageSize) {
+      return true;
     }
     done += span;
   }
-  return poisoned;
+  return false;
 }
 
 void AddressSpace::ReadUnchecked(Gaddr addr, void* dst, uint64_t size) {
   ForEachChunk(addr, size, AccessKind::kRead, CheckMode::kUnchecked,
-               [&](PageData& page, uint64_t off, uint64_t span,
+               [&](PageEntry& entry, uint64_t off, uint64_t span,
                    uint64_t done) {
                  std::memcpy(static_cast<uint8_t*>(dst) + done,
-                             page.bytes.data() + off, span);
+                             Contents(entry).bytes.data() + off, span);
                });
 }
 
 void AddressSpace::WriteUnchecked(Gaddr addr, const void* src, uint64_t size) {
   ForEachChunk(addr, size, AccessKind::kWrite, CheckMode::kUnchecked,
-               [&](PageData& page, uint64_t off, uint64_t span,
+               [&](PageEntry& entry, uint64_t off, uint64_t span,
                    uint64_t done) {
-                 std::memcpy(page.bytes.data() + off,
+                 std::memcpy(Materialize(entry).bytes.data() + off,
                              static_cast<const uint8_t*>(src) + done, span);
                });
 }

@@ -1,9 +1,22 @@
 // Guest address spaces. Every guest page carries an MPK protection key and a
 // writable bit; every access is checked against the machine's current PKRU
 // and (when the executing code is instrumented) against ASAN-lite shadow
-// memory. Pages are reference-counted so a region can be mapped into several
+// memory.
+//
+// Backing is lazy. Map records the mapping (key, writable bit) and allocates
+// one region of empty page slots; a page gets its PageData on the first
+// access that mutates it (Write, Fill, WriteUnchecked, Poison, Unpoison),
+// after every check of that access has passed. Reads of a page that was
+// never written are served from one shared, immutable zero page, whose
+// bytes and shadow equal a fresh PageData's. Materializing charges no
+// cycles, so the modeled cost of an access does not depend on whether its
+// page was resident.
+//
+// Regions are reference-counted so a range can be mapped into several
 // address spaces at the same guest address — the mechanism behind the
-// VM-backend shared heap.
+// VM-backend shared heap. MapAlias shares the source's page slots, not
+// pages, so it stays lazy too: a page first written through any aliasing
+// space is seen by all of them.
 #ifndef FLEXOS_VMEM_ADDRESS_SPACE_H_
 #define FLEXOS_VMEM_ADDRESS_SPACE_H_
 
@@ -31,19 +44,30 @@ inline constexpr uint8_t kShadowHeapRedzone = 0xfa;
 inline constexpr uint8_t kShadowFreed = 0xfd;
 inline constexpr uint8_t kShadowStackGuard = 0xfe;
 
-// Backing storage of one guest page, shareable across address spaces.
+// Backing storage of one guest page.
 struct PageData {
   std::array<uint8_t, kPageSize> bytes{};
   std::array<uint8_t, kShadowPerPage> shadow{};
 };
 
+// One page's slot in the region Map allocates: null until the page's first
+// mutating access materializes it.
+using PageSlot = std::unique_ptr<PageData>;
+
 struct PageEntry {
-  std::shared_ptr<PageData> data;  // Null when unmapped.
+  // Null when unmapped. Points at this page's slot and shares ownership of
+  // the whole region, so every space aliasing the page sees the same slot.
+  std::shared_ptr<PageSlot> slot;
+  // The slot's PageData once this entry has seen it filled, so accesses to
+  // a resident page chase one pointer. A filled slot never changes while
+  // the entry holds its region, so the copy cannot go stale.
+  PageData* data = nullptr;
   Pkey key = 0;
   bool writable = true;
   bool guard = false;  // Guard pages trap on any access (stack overflow).
 
-  bool mapped() const { return data != nullptr; }
+  bool mapped() const { return slot != nullptr; }
+  bool resident() const { return slot != nullptr && *slot != nullptr; }
 };
 
 class AddressSpace {
@@ -60,11 +84,15 @@ class AddressSpace {
 
   // --- Mapping -----------------------------------------------------------
 
-  // Maps fresh zeroed pages at [addr, addr+size) with the given key.
+  // Maps [addr, addr+size) with the given key. The pages read as zeros and
+  // get backing on their first write; Map itself allocates one region of
+  // empty slots, nothing per page.
   Status Map(Gaddr addr, uint64_t size, Pkey key, bool writable = true);
 
   // Maps the same physical pages that `source` has at [src_addr, ...) into
-  // this space at [dst_addr, ...). Used for VM shared regions; the paper
+  // this space at [dst_addr, ...), sharing their slots: pages not yet
+  // written stay unbacked, and a first write through either space is
+  // visible in both. Used for VM shared regions; the paper
   // maps the shared area at an identical address in all compartments, and
   // callers here should do the same so guest pointers stay valid.
   Status MapAlias(Gaddr dst_addr, AddressSpace& source, Gaddr src_addr,
@@ -73,6 +101,8 @@ class AddressSpace {
   // Marks [addr, addr+size) as guard pages (any access traps).
   Status MapGuard(Gaddr addr, uint64_t size);
 
+  // Unmaps [addr, addr+size). A page's backing is freed once no space maps
+  // any page of the region it was mapped with.
   Status Unmap(Gaddr addr, uint64_t size);
 
   // Retags mapped pages with a new protection key.
@@ -82,6 +112,11 @@ class AddressSpace {
   Result<Pkey> KeyOf(Gaddr addr) const;
 
   bool IsMapped(Gaddr addr) const;
+
+  // Mapped pages of this space that have backing, whether they were
+  // materialized through this space or through one aliasing it. A plain
+  // count for tests, kept out of the metrics registry.
+  uint64_t resident_pages() const;
 
   // --- Checked access (charges cycles, enforces PKRU + shadow) -----------
 
@@ -130,13 +165,14 @@ class AddressSpace {
   enum class CheckMode { kChecked, kUnchecked };
 
   // Resolves one page and enforces mapping/PKRU/guard checks.
-  PageData& ResolvePage(Gaddr addr, AccessKind access, CheckMode mode);
+  PageEntry& ResolvePage(Gaddr addr, AccessKind access, CheckMode mode);
 
   // Enforces shadow validity for an in-page span, if instrumentation is on.
-  void CheckShadow(PageData& page, Gaddr addr, uint64_t in_page_off,
+  void CheckShadow(const PageData& page, Gaddr addr, uint64_t in_page_off,
                    uint64_t span, AccessKind access);
 
-  // Walks [addr, addr+size) page by page invoking fn(page, in_page_off, n).
+  // Walks [addr, addr+size) page by page, running every check of the access
+  // and then fn(entry, in_page_off, span, done).
   template <typename Fn>
   void ForEachChunk(Gaddr addr, uint64_t size, AccessKind access,
                     CheckMode mode, Fn&& fn);

@@ -342,6 +342,24 @@ TEST(ImageSemantics, VmReplicatedLibsStayLocal) {
   EXPECT_GT(machine.stats().vmexit_count, exits_before);
 }
 
+TEST(ImageSemantics, FreshImageLeavesMostMappedPagesUnbacked) {
+  // Pages get backing on their first write, and the VM backend aliases the
+  // shared region and global heap into every VM without backing them, so a
+  // freshly built image holds a sliver of what it maps.
+  Machine machine;
+  ImageBuilder builder(machine);
+  auto image = builder.Build(TwoCompartments(IsolationBackend::kVmRpc)).value();
+  for (int c = 0; c < image->compartment_count(); ++c) {
+    const AddressSpace& space = *image->compartment(c).space;
+    uint64_t mapped = 0;
+    for (Gaddr addr = 0; addr < space.size_bytes(); addr += kPageSize) {
+      mapped += space.IsMapped(addr) ? 1 : 0;
+    }
+    EXPECT_GE(mapped * kPageSize, image->shared_bytes()) << space.name();
+    EXPECT_LT(space.resident_pages() * 100, mapped) << space.name();
+  }
+}
+
 TEST(ImageSemantics, LeafCallKeepsCallerDomainWithTargetInstrumentation) {
   Machine machine;
   ImageBuilder builder(machine);

@@ -108,6 +108,22 @@ TEST(Wire, UdpFrameRoundTrip) {
   EXPECT_EQ(parsed->payload.size(), 4u);
 }
 
+TEST(Wire, FrameParsesInPlaceFromLargerBuffer) {
+  const uint8_t payload[] = {4, 5, 6};
+  const auto frame = BuildUdpFrame(MacAddr{}, MacAddr{}, 1, 2, 7, 8, payload,
+                                   sizeof(payload));
+  // The frame sits between junk bytes; the view must not read past it.
+  std::vector<uint8_t> buffer(16, 0xee);
+  buffer.insert(buffer.begin() + 8, frame.begin(), frame.end());
+  const std::span<const uint8_t> view =
+      std::span<const uint8_t>(buffer).subspan(8, frame.size());
+  Result<ParsedFrame> parsed = ParseFrame(view);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->payload, std::vector<uint8_t>({4, 5, 6}));
+  // Cut the view short of the IP total length: rejected, not over-read.
+  EXPECT_FALSE(ParseFrame(view.first(view.size() - 1)).ok());
+}
+
 TEST(Wire, ShortFrameRejected) {
   std::vector<uint8_t> frame(10);
   EXPECT_FALSE(ParseFrame(frame).ok());

@@ -147,6 +147,97 @@ TEST_F(VmemTest, AliasSharesBacking) {
   EXPECT_EQ(space_.ReadT<uint32_t>(64), 7u);
 }
 
+// --- Lazy backing -----------------------------------------------------------
+
+TEST_F(VmemTest, UnwrittenPagesReadAsZerosWithoutBacking) {
+  ASSERT_TRUE(space_.Map(0, 4 * kPageSize, 1).ok());
+  std::vector<uint8_t> out(3 * kPageSize, 0xaa);
+  space_.Read(kPageSize / 2, out.data(), out.size());
+  EXPECT_EQ(out, std::vector<uint8_t>(out.size(), 0));
+  space_.ReadUnchecked(0, out.data(), kPageSize);
+  EXPECT_EQ(out[0], 0);
+  EXPECT_EQ(space_.resident_pages(), 0u);
+}
+
+TEST_F(VmemTest, WriteAcrossPageBoundaryMaterializesTwoPages) {
+  ASSERT_TRUE(space_.Map(0, 4 * kPageSize, 1).ok());
+  const uint64_t value = 0x0123456789abcdefull;
+  space_.WriteT<uint64_t>(2 * kPageSize - 4, value);
+  EXPECT_EQ(space_.resident_pages(), 2u);
+  EXPECT_EQ(space_.ReadT<uint64_t>(2 * kPageSize - 4), value);
+  EXPECT_EQ(space_.ReadT<uint32_t>(kPageSize - 4), 0u);
+  EXPECT_EQ(space_.resident_pages(), 2u);
+}
+
+TEST_F(VmemTest, AliasOfUnwrittenPagesStaysLazyAndShared) {
+  AddressSpace other(machine_, "other", 64 * kPageSize);
+  ASSERT_TRUE(space_.Map(0, 2 * kPageSize, 0).ok());
+  ASSERT_TRUE(other.MapAlias(0, space_, 0, 2 * kPageSize).ok());
+  EXPECT_EQ(other.resident_pages(), 0u);
+  EXPECT_EQ(space_.resident_pages(), 0u);
+
+  // First write through the alias lands in the source's backing...
+  other.WriteT<uint32_t>(8, 0xfeedu);
+  EXPECT_EQ(space_.ReadT<uint32_t>(8), 0xfeedu);
+  // ...and a first write through the source shows in the alias.
+  space_.WriteT<uint32_t>(kPageSize + 8, 0xbeefu);
+  EXPECT_EQ(other.ReadT<uint32_t>(kPageSize + 8), 0xbeefu);
+  EXPECT_EQ(space_.resident_pages(), 2u);
+  EXPECT_EQ(other.resident_pages(), 2u);
+}
+
+TEST_F(VmemTest, UnwrittenPagesTrapAsBeforeAndStayUnbacked) {
+  ASSERT_TRUE(space_.MapGuard(0, kPageSize).ok());
+  ASSERT_TRUE(space_.Map(kPageSize, kPageSize, 2).ok());
+  ASSERT_TRUE(space_.Map(2 * kPageSize, kPageSize, 3, /*writable=*/false)
+                  .ok());
+  const uint8_t byte = 1;
+  const auto write_trap = [&](Gaddr addr) {
+    try {
+      space_.Write(addr, &byte, 1);
+    } catch (const TrapException& trap) {
+      EXPECT_EQ(trap.info().access, AccessKind::kWrite);
+      return trap.info().kind;
+    }
+    ADD_FAILURE() << "write did not trap";
+    return TrapKind::kPageFault;
+  };
+  EXPECT_EQ(write_trap(16), TrapKind::kStackOverflow);
+  EXPECT_EQ(write_trap(10 * kPageSize), TrapKind::kPageFault);
+  EXPECT_EQ(write_trap(2 * kPageSize + 16), TrapKind::kProtectionFault);
+  machine_.context().pkru = Pkru::AllowAll().WithAccess(2, true, false);
+  EXPECT_EQ(write_trap(kPageSize + 16), TrapKind::kProtectionFault);
+  EXPECT_EQ(space_.resident_pages(), 0u);
+}
+
+TEST_F(VmemTest, ShadowOfUntouchedPage) {
+  ASSERT_TRUE(space_.Map(0, 2 * kPageSize, 0).ok());
+  EXPECT_FALSE(space_.IsPoisoned(0, 2 * kPageSize));
+  EXPECT_EQ(space_.resident_pages(), 0u);
+  space_.Poison(kPageSize + 64, 32, kShadowFreed);
+  EXPECT_EQ(space_.resident_pages(), 1u);
+  EXPECT_TRUE(space_.IsPoisoned(kPageSize + 64, 1));
+  EXPECT_FALSE(space_.IsPoisoned(kPageSize, 64));
+  space_.Unpoison(kPageSize + 64, 32);
+  EXPECT_FALSE(space_.IsPoisoned(kPageSize, kPageSize));
+  // Unpoisoning a partial tail granule backs the page too.
+  space_.Unpoison(0, 12);
+  EXPECT_EQ(space_.resident_pages(), 2u);
+  EXPECT_TRUE(space_.IsPoisoned(12, 1));
+  EXPECT_FALSE(space_.IsPoisoned(0, 12));
+}
+
+TEST_F(VmemTest, UnmapThenMapReadsZeros) {
+  ASSERT_TRUE(space_.Map(0, 2 * kPageSize, 1).ok());
+  space_.Fill(0, 0x5a, 2 * kPageSize);
+  EXPECT_EQ(space_.resident_pages(), 2u);
+  ASSERT_TRUE(space_.Unmap(0, 2 * kPageSize).ok());
+  EXPECT_EQ(space_.resident_pages(), 0u);
+  ASSERT_TRUE(space_.Map(0, 2 * kPageSize, 1).ok());
+  EXPECT_EQ(space_.ReadT<uint64_t>(kPageSize + 8), 0u);
+  EXPECT_EQ(space_.resident_pages(), 0u);
+}
+
 // --- ASAN-lite shadow -----------------------------------------------------
 
 class ShadowTest : public VmemTest {
