@@ -66,6 +66,7 @@ bool NetStack::Poll() {
       ++frames;
       frames_polled_counter_->Add();
       const std::vector<uint8_t> raw = nic_.PopRx();
+      // `parsed` views `raw`, which lives until this iteration ends.
       Result<ParsedFrame> parsed = ParseFrame(raw);
       if (!parsed.ok()) {
         parse_errors_counter_->Add();

@@ -5,6 +5,27 @@
 #include "support/log.h"
 
 namespace flexos {
+namespace {
+
+// Reads the ethertype, IP protocol and TCP destination port at their fixed
+// offsets. A frame this is true for would be dropped after a full parse
+// anyway: malformed, or well-formed and addressed to another connection.
+bool IsTcpForOtherPort(std::span<const uint8_t> frame, Port local_port) {
+  constexpr size_t kProtoAt = EthHeader::kSize + 9;
+  constexpr size_t kDstPortAt = EthHeader::kSize + Ipv4Header::kSize + 2;
+  if (frame.size() < kDstPortAt + 2) {
+    return false;
+  }
+  const uint16_t ethertype =
+      static_cast<uint16_t>(frame[12] << 8 | frame[13]);
+  const Port dst_port =
+      static_cast<Port>(frame[kDstPortAt] << 8 | frame[kDstPortAt + 1]);
+  return ethertype == kEtherTypeIpv4 &&
+         frame[kProtoAt] == static_cast<uint8_t>(IpProto::kTcp) &&
+         dst_port != local_port;
+}
+
+}  // namespace
 
 RemoteTcpPeer::RemoteTcpPeer(Machine& machine, Link& link,
                              RemoteTcpConfig config, RemoteApp& app,
@@ -64,7 +85,6 @@ void RemoteTcpPeer::Pump() {
       state_ != RemoteTcpState::kCloseWait) {
     return;
   }
-  std::vector<uint8_t> scratch(config_.mss);
   for (;;) {
     // Refill from the app while we have window headroom.
     const uint32_t in_flight =
@@ -75,23 +95,21 @@ void RemoteTcpPeer::Pump() {
     if (headroom == 0) {
       break;
     }
-    uint64_t unsent = buffer_.size() - unsent_offset_;
+    uint64_t unsent = Buffered() - unsent_offset_;
     if (unsent == 0 && !app_.Finished()) {
-      const size_t produced = app_.ProduceData(
-          scratch.data(), std::min<size_t>(scratch.size(), headroom));
-      for (size_t i = 0; i < produced; ++i) {
-        buffer_.push_back(scratch[i]);
-      }
-      unsent = buffer_.size() - unsent_offset_;
+      // The app writes straight into the buffer's tail.
+      const size_t tail = send_buf_.size();
+      send_buf_.resize(tail + std::min<size_t>(config_.mss, headroom));
+      const size_t produced =
+          app_.ProduceData(send_buf_.data() + tail, send_buf_.size() - tail);
+      send_buf_.resize(tail + produced);
+      unsent = produced;
     }
     const uint32_t len = static_cast<uint32_t>(
         std::min<uint64_t>({unsent, static_cast<uint64_t>(headroom),
                             static_cast<uint64_t>(config_.mss)}));
     if (len == 0) {
       break;
-    }
-    for (uint32_t i = 0; i < len; ++i) {
-      scratch[i] = buffer_[unsent_offset_ + i];
     }
     const uint32_t seq = snd_nxt_;
     inflight_.push_back(InFlightSeg{.seq = seq,
@@ -101,12 +119,12 @@ void RemoteTcpPeer::Pump() {
                                     .sent_at_cycles =
                                         machine_.clock().cycles()});
     snd_nxt_ += len;
+    SendSegment(kTcpAck | kTcpPsh, seq, BufferAt(unsent_offset_), len);
     unsent_offset_ += len;
-    SendSegment(kTcpAck | kTcpPsh, seq, scratch.data(), len);
   }
   // Active close once the app is done and every sent byte is acknowledged
   // (keeping the FIN out of the go-back-N window simplifies resends).
-  if (app_.Finished() && buffer_.empty() && !fin_sent_) {
+  if (app_.Finished() && Buffered() == 0 && !fin_sent_) {
     fin_sent_ = true;
     const uint32_t seq = snd_nxt_;
     snd_nxt_ += 1;
@@ -135,20 +153,31 @@ void RemoteTcpPeer::ProcessAck(const TcpHeader& header) {
   snd_una_ = ack;
   retries_ = 0;
 
-  // Strip phantom SYN/FIN slots from the byte count.
+  // Strip phantom SYN/FIN slots from the byte count. A SYN can only lead
+  // the in-flight queue and a FIN only trail it.
   uint32_t data_acked = acked;
-  for (const InFlightSeg& seg : inflight_) {
-    if ((seg.syn || seg.fin) && SeqLt(seg.seq, snd_una_)) {
-      if (data_acked > 0) {
-        --data_acked;
-      }
+  if (!inflight_.empty()) {
+    const InFlightSeg& front = inflight_.front();
+    const InFlightSeg& back = inflight_.back();
+    if (front.syn && SeqLt(front.seq, snd_una_) && data_acked > 0) {
+      --data_acked;
+    }
+    if (back.fin && SeqLt(back.seq, snd_una_) && data_acked > 0) {
+      --data_acked;
     }
   }
   const uint32_t from_buffer =
-      static_cast<uint32_t>(std::min<uint64_t>(data_acked, buffer_.size()));
-  buffer_.erase(buffer_.begin(), buffer_.begin() + from_buffer);
+      static_cast<uint32_t>(std::min<uint64_t>(data_acked, Buffered()));
+  send_head_ += from_buffer;
   unsent_offset_ -= from_buffer;
   stats_.bytes_acked += from_buffer;
+  if (send_head_ * 2 >= send_buf_.size()) {
+    // At least half the buffer is dead: drop it (a memmove, or nothing
+    // when no live bytes remain).
+    send_buf_.erase(send_buf_.begin(),
+                    send_buf_.begin() + static_cast<ptrdiff_t>(send_head_));
+    send_head_ = 0;
+  }
 
   while (!inflight_.empty()) {
     const InFlightSeg& seg = inflight_.front();
@@ -275,6 +304,10 @@ void RemoteTcpPeer::HandleFrame(const ParsedFrame& frame) {
 }
 
 void RemoteTcpPeer::DeliverFrame(std::vector<uint8_t> frame) {
+  if (IsTcpForOtherPort(frame, config_.local_port)) {
+    return;
+  }
+  // `parsed` views `frame`, which lives until this call returns.
   Result<ParsedFrame> parsed = ParseFrame(frame);
   if (!parsed.ok()) {
     FLEXOS_DEBUG("remote peer: dropping frame: %s",
@@ -327,12 +360,8 @@ bool RemoteTcpPeer::OnTick() {
   } else if (seg.fin) {
     SendSegment(kTcpFin | kTcpAck, seg.seq, nullptr, 0);
   } else {
-    std::vector<uint8_t> scratch(seg.len);
-    const uint32_t offset = seg.seq - snd_una_;
-    for (uint32_t i = 0; i < seg.len; ++i) {
-      scratch[i] = buffer_[offset + i];
-    }
-    SendSegment(kTcpAck | kTcpPsh, seg.seq, scratch.data(), seg.len);
+    SendSegment(kTcpAck | kTcpPsh, seg.seq, BufferAt(seg.seq - snd_una_),
+                seg.len);
   }
   return true;
 }

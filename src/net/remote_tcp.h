@@ -4,6 +4,10 @@
 // server CPU — but its traffic is still subject to the link's bandwidth,
 // latency, and loss. It is also an independent implementation of the wire
 // format, so interop with the guest stack doubles as a protocol test.
+//
+// Being free in modeled cycles, the peer should also be cheap on the host:
+// its send buffer is one contiguous byte array that segments are built
+// from by pointer, and it parses inbound frames in place.
 #ifndef FLEXOS_NET_REMOTE_TCP_H_
 #define FLEXOS_NET_REMOTE_TCP_H_
 
@@ -90,7 +94,8 @@ class RemoteTcpPeer final : public LinkEndpoint {
   void Listen();
 
   // LinkEndpoint: a frame from the server arrived. Processed immediately
-  // and free of charge (remote machine).
+  // and free of charge (remote machine). TCP frames for another port are
+  // dropped before parsing (a hub shows every peer every frame).
   void DeliverFrame(std::vector<uint8_t> frame) override;
 
   // Fires due retransmission timers. Call from the platform idle loop.
@@ -122,6 +127,12 @@ class RemoteTcpPeer final : public LinkEndpoint {
   void HandleFrame(const ParsedFrame& frame);
   void ProcessAck(const TcpHeader& header);
   uint64_t RtoCycles() const;
+  // Live bytes of the send buffer (unacknowledged, then unsent), and a
+  // pointer to the one `offset` bytes past snd_una_'s.
+  size_t Buffered() const { return send_buf_.size() - send_head_; }
+  const uint8_t* BufferAt(uint64_t offset) const {
+    return send_buf_.data() + send_head_ + offset;
+  }
 
   Machine& machine_;  // For the virtual clock only.
   Link& link_;
@@ -140,10 +151,14 @@ class RemoteTcpPeer final : public LinkEndpoint {
   bool fin_sent_ = false;
   bool fin_received_ = false;
 
-  // Unacknowledged + unsent application bytes; front corresponds to
-  // snd_una_ (minus phantom SYN/FIN sequence slots).
-  std::deque<uint8_t> buffer_;
-  uint64_t unsent_offset_ = 0;  // Bytes of buffer_ already transmitted.
+  // Unacknowledged + unsent application bytes in send_buf_[send_head_, end),
+  // whose first byte is at snd_una_ (minus phantom SYN/FIN sequence slots).
+  // ACKs advance send_head_; the dead prefix is dropped in one memmove once
+  // it is at least half the buffer, so the buffer stays within about twice
+  // the send window.
+  std::vector<uint8_t> send_buf_;
+  size_t send_head_ = 0;
+  uint64_t unsent_offset_ = 0;  // Live bytes already transmitted.
 
   std::deque<InFlightSeg> inflight_;
   int retries_ = 0;

@@ -100,9 +100,13 @@ bool UdpEngine::OnFrame(const ParsedFrame& frame) {
     return true;
   }
   ++stats_.datagrams_rx;
-  socket.queue.push_back(Datagram{.src_ip = frame.ip.src,
-                                  .src_port = frame.udp->src_port,
-                                  .payload = frame.payload});
+  // The parsed payload views the NIC's frame; a queued datagram outlives
+  // it, so this is where the bytes are copied.
+  socket.queue.push_back(
+      Datagram{.src_ip = frame.ip.src,
+               .src_port = frame.udp->src_port,
+               .payload = std::vector<uint8_t>(frame.payload.begin(),
+                                               frame.payload.end())});
   Semaphore* sem = socket.rx_sem.get();
   router_.Call(net_to_libc_, [sem] { sem->Signal(); });
   return true;

@@ -83,24 +83,24 @@ void Ipv4Header::SerializeTo(uint8_t* out) const {
   PutU16(out + 10, Checksum(out, kSize));
 }
 
-Result<Ipv4Header> Ipv4Header::Parse(const uint8_t* data, size_t size) {
-  if (size < kSize) {
+Result<Ipv4Header> Ipv4Header::Parse(std::span<const uint8_t> data) {
+  if (data.size() < kSize) {
     return Status(ErrorCode::kInvalidArgument, "short IPv4 header");
   }
   if (data[0] != 0x45) {
     return Status(ErrorCode::kInvalidArgument, "unsupported IPv4 version/IHL");
   }
-  if (Checksum(data, kSize) != 0) {
+  if (Checksum(data.data(), kSize) != 0) {
     return Status(ErrorCode::kInvalidArgument, "bad IPv4 header checksum");
   }
   Ipv4Header header;
-  header.total_len = GetU16(data + 2);
-  header.id = GetU16(data + 4);
+  header.total_len = GetU16(&data[2]);
+  header.id = GetU16(&data[4]);
   header.ttl = data[8];
   header.proto = static_cast<IpProto>(data[9]);
-  header.src = GetU32(data + 12);
-  header.dst = GetU32(data + 16);
-  if (header.total_len < kSize || header.total_len > size) {
+  header.src = GetU32(&data[12]);
+  header.dst = GetU32(&data[16]);
+  if (header.total_len < kSize || header.total_len > data.size()) {
     return Status(ErrorCode::kInvalidArgument, "bad IPv4 total length");
   }
   return header;
@@ -166,20 +166,20 @@ void ArpPacket::SerializeTo(uint8_t* out) const {
   PutU32(out + 24, target_ip);
 }
 
-Result<ArpPacket> ArpPacket::Parse(const uint8_t* data, size_t size) {
-  if (size < kSize) {
+Result<ArpPacket> ArpPacket::Parse(std::span<const uint8_t> data) {
+  if (data.size() < kSize) {
     return Status(ErrorCode::kInvalidArgument, "short ARP packet");
   }
-  if (GetU16(data) != 1 || GetU16(data + 2) != kEtherTypeIpv4 ||
+  if (GetU16(&data[0]) != 1 || GetU16(&data[2]) != kEtherTypeIpv4 ||
       data[4] != 6 || data[5] != 4) {
     return Status(ErrorCode::kUnimplemented, "non-Ethernet/IPv4 ARP");
   }
   ArpPacket arp;
-  arp.op = GetU16(data + 6);
-  std::memcpy(arp.sender_mac.bytes.data(), data + 8, 6);
-  arp.sender_ip = GetU32(data + 14);
-  std::memcpy(arp.target_mac.bytes.data(), data + 18, 6);
-  arp.target_ip = GetU32(data + 24);
+  arp.op = GetU16(&data[6]);
+  std::memcpy(arp.sender_mac.bytes.data(), &data[8], 6);
+  arp.sender_ip = GetU32(&data[14]);
+  std::memcpy(arp.target_mac.bytes.data(), &data[18], 6);
+  arp.target_ip = GetU32(&data[24]);
   return arp;
 }
 
@@ -196,11 +196,11 @@ void IcmpEcho::SerializeTo(uint8_t* out, const uint8_t* payload,
   PutU16(out + 2, Checksum(out, kHeaderSize + payload_size));
 }
 
-Result<IcmpEcho> IcmpEcho::Parse(const uint8_t* data, size_t size) {
-  if (size < kHeaderSize) {
+Result<IcmpEcho> IcmpEcho::Parse(std::span<const uint8_t> data) {
+  if (data.size() < kHeaderSize) {
     return Status(ErrorCode::kInvalidArgument, "short ICMP message");
   }
-  if (Checksum(data, size) != 0) {
+  if (Checksum(data.data(), data.size()) != 0) {
     return Status(ErrorCode::kInvalidArgument, "bad ICMP checksum");
   }
   IcmpEcho icmp;
@@ -208,8 +208,8 @@ Result<IcmpEcho> IcmpEcho::Parse(const uint8_t* data, size_t size) {
   if (icmp.type != kIcmpEchoRequest && icmp.type != kIcmpEchoReply) {
     return Status(ErrorCode::kUnimplemented, "unsupported ICMP type");
   }
-  icmp.id = GetU16(data + 4);
-  icmp.seq = GetU16(data + 6);
+  icmp.id = GetU16(&data[4]);
+  icmp.seq = GetU16(&data[6]);
   return icmp;
 }
 
@@ -311,52 +311,46 @@ Result<ParsedFrame> ParseFrame(std::span<const uint8_t> frame) {
   }
   ParsedFrame parsed;
   parsed.eth = EthHeader::Parse(frame.data());
+  const std::span<const uint8_t> l3 = frame.subspan(EthHeader::kSize);
   if (parsed.eth.ethertype == kEtherTypeArp) {
-    FLEXOS_ASSIGN_OR_RETURN(
-        parsed.arp, ArpPacket::Parse(frame.data() + EthHeader::kSize,
-                                     frame.size() - EthHeader::kSize));
+    FLEXOS_ASSIGN_OR_RETURN(parsed.arp, ArpPacket::Parse(l3));
     return parsed;
   }
   if (parsed.eth.ethertype != kEtherTypeIpv4) {
     return Status(ErrorCode::kUnimplemented, "non-IPv4 ethertype");
   }
-  FLEXOS_ASSIGN_OR_RETURN(
-      parsed.ip, Ipv4Header::Parse(frame.data() + EthHeader::kSize,
-                                   frame.size() - EthHeader::kSize));
-  const uint8_t* transport =
-      frame.data() + EthHeader::kSize + Ipv4Header::kSize;
-  const size_t transport_len = parsed.ip.total_len - Ipv4Header::kSize;
+  FLEXOS_ASSIGN_OR_RETURN(parsed.ip, Ipv4Header::Parse(l3));
+  const std::span<const uint8_t> transport =
+      l3.subspan(Ipv4Header::kSize, parsed.ip.total_len - Ipv4Header::kSize);
 
   if (parsed.ip.proto == IpProto::kTcp) {
-    if (transport_len < TcpHeader::kSize) {
+    if (transport.size() < TcpHeader::kSize) {
       return Status(ErrorCode::kInvalidArgument, "short TCP segment");
     }
     // Verify the transport checksum end to end.
     uint32_t sum =
         PseudoHeaderSum(parsed.ip.src, parsed.ip.dst, IpProto::kTcp,
-                        static_cast<uint16_t>(transport_len));
-    if (ChecksumFinish(ChecksumPartial(transport, transport_len, sum)) != 0) {
+                        static_cast<uint16_t>(transport.size()));
+    if (ChecksumFinish(ChecksumPartial(transport.data(), transport.size(),
+                                       sum)) != 0) {
       return Status(ErrorCode::kInvalidArgument, "bad TCP checksum");
     }
-    parsed.tcp = TcpHeader::Parse(transport);
-    parsed.payload.assign(transport + TcpHeader::kSize,
-                          transport + transport_len);
+    parsed.tcp = TcpHeader::Parse(transport.data());
+    parsed.payload = transport.subspan(TcpHeader::kSize);
   } else if (parsed.ip.proto == IpProto::kUdp) {
-    if (transport_len < UdpHeader::kSize) {
+    if (transport.size() < UdpHeader::kSize) {
       return Status(ErrorCode::kInvalidArgument, "short UDP datagram");
     }
-    parsed.udp = UdpHeader::Parse(transport);
+    parsed.udp = UdpHeader::Parse(transport.data());
     if (parsed.udp->length < UdpHeader::kSize ||
-        parsed.udp->length > transport_len) {
+        parsed.udp->length > transport.size()) {
       return Status(ErrorCode::kInvalidArgument, "bad UDP length");
     }
-    parsed.payload.assign(transport + UdpHeader::kSize,
-                          transport + parsed.udp->length);
+    parsed.payload = transport.subspan(
+        UdpHeader::kSize, parsed.udp->length - UdpHeader::kSize);
   } else if (parsed.ip.proto == IpProto::kIcmp) {
-    FLEXOS_ASSIGN_OR_RETURN(parsed.icmp,
-                            IcmpEcho::Parse(transport, transport_len));
-    parsed.payload.assign(transport + IcmpEcho::kHeaderSize,
-                          transport + transport_len);
+    FLEXOS_ASSIGN_OR_RETURN(parsed.icmp, IcmpEcho::Parse(transport));
+    parsed.payload = transport.subspan(IcmpEcho::kHeaderSize);
   } else {
     return Status(ErrorCode::kUnimplemented, "unsupported IP protocol");
   }

@@ -1,7 +1,8 @@
 // Wire formats: Ethernet II, IPv4, TCP, UDP headers with big-endian
 // serialization, plus frame build/parse helpers. Frames are host-side byte
 // vectors ("bits on the wire"); guest memory enters the picture when the
-// NIC and socket layers copy payloads in and out.
+// NIC and socket layers copy payloads in and out. Parsing copies nothing:
+// a ParsedFrame's payload is a view into the frame it was parsed from.
 #ifndef FLEXOS_NET_WIRE_H_
 #define FLEXOS_NET_WIRE_H_
 
@@ -66,7 +67,7 @@ struct Ipv4Header {
   void SerializeTo(uint8_t* out) const;
 
   // Parses and verifies version/IHL/checksum.
-  static Result<Ipv4Header> Parse(const uint8_t* data, size_t size);
+  static Result<Ipv4Header> Parse(std::span<const uint8_t> data);
 };
 
 // Standard TCP flag bits.
@@ -117,7 +118,7 @@ struct ArpPacket {
   Ipv4Addr target_ip = 0;
 
   void SerializeTo(uint8_t* out) const;
-  static Result<ArpPacket> Parse(const uint8_t* data, size_t size);
+  static Result<ArpPacket> Parse(std::span<const uint8_t> data);
 };
 
 // ICMP echo (RFC 792, types 8/0 only).
@@ -135,7 +136,8 @@ struct IcmpEcho {
   // `out` must hold kHeaderSize + payload_size bytes.
   void SerializeTo(uint8_t* out, const uint8_t* payload,
                    size_t payload_size) const;
-  static Result<IcmpEcho> Parse(const uint8_t* data, size_t size);
+  // Parses and verifies the checksum over the whole message in `data`.
+  static Result<IcmpEcho> Parse(std::span<const uint8_t> data);
 };
 
 // Sequence-number arithmetic (RFC 793 comparisons, wraparound-safe).
@@ -154,8 +156,9 @@ struct ParsedFrame {
   std::optional<UdpHeader> udp;
   std::optional<ArpPacket> arp;
   std::optional<IcmpEcho> icmp;
-  // Payload bytes (copied out of the frame).
-  std::vector<uint8_t> payload;
+  // Transport payload: a view into the frame given to ParseFrame, valid
+  // only while that frame lives. Copy it to keep it longer.
+  std::span<const uint8_t> payload;
 };
 
 // Builds a complete Ethernet+IPv4+TCP frame.
@@ -187,7 +190,7 @@ std::vector<uint8_t> BuildIcmpEchoFrame(const MacAddr& src_mac,
 
 // Parses an Ethernet frame down to the transport payload. Takes a view, so
 // callers holding a vector, an array or a slice of a larger buffer parse in
-// place.
+// place; the result's payload points into `frame`.
 Result<ParsedFrame> ParseFrame(std::span<const uint8_t> frame);
 
 }  // namespace flexos

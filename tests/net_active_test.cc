@@ -188,10 +188,10 @@ class PingCollector final : public LinkEndpoint {
     Result<ParsedFrame> parsed = ParseFrame(frame);
     if (parsed.ok() && parsed->icmp.has_value() &&
         parsed->icmp->type == kIcmpEchoReply) {
-      replies.push_back(parsed.value());
+      replies.push_back(std::move(frame));  // A parse only views its frame.
     }
   }
-  std::vector<ParsedFrame> replies;
+  std::vector<std::vector<uint8_t>> replies;
 };
 
 TEST(Icmp, GuestAnswersEchoRequests) {
@@ -223,7 +223,9 @@ TEST(Icmp, GuestAnswersEchoRequests) {
   }
   ASSERT_EQ(collector.replies.size(), 3u);
   for (size_t i = 0; i < 3; ++i) {
-    const ParsedFrame& reply = collector.replies[i];
+    Result<ParsedFrame> parsed = ParseFrame(collector.replies[i]);
+    ASSERT_TRUE(parsed.ok());
+    const ParsedFrame& reply = parsed.value();
     EXPECT_EQ(reply.icmp->id, 0x77);
     EXPECT_EQ(reply.icmp->seq, static_cast<uint16_t>(i + 1));
     EXPECT_EQ(std::string(reply.payload.begin(), reply.payload.end()),

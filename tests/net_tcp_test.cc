@@ -44,6 +44,7 @@ struct TcpFixtureResult {
   Status run_status;
   std::string server_got;
   bool got_eof = false;
+  uint64_t peer_retransmits = 0;
 };
 
 TcpFixtureResult RunEchoServer(TestbedConfig config, ScriptedRemote& app,
@@ -83,6 +84,7 @@ TcpFixtureResult RunEchoServer(TestbedConfig config, ScriptedRemote& app,
   bed.AddPeer(&peer);
   peer.Connect();
   out.run_status = bed.Run();
+  out.peer_retransmits = peer.stats().retransmits;
   return out;
 }
 
@@ -125,15 +127,42 @@ TEST(TcpEngine, LargeTransferSpanningManySegments) {
   EXPECT_EQ(result.server_got, blob);
 }
 
+// Bytes that differ from their neighbours and do not repeat at any
+// segment-sized stride, so data sent from the wrong offset is visible.
+std::string PatternedBlob(size_t size) {
+  std::string blob(size, '\0');
+  for (size_t i = 0; i < size; ++i) {
+    blob[i] = static_cast<char>((i * 131 + i / 251) % 251);
+  }
+  return blob;
+}
+
 TEST(TcpEngine, RecoversFromHeavyLoss) {
   TestbedConfig config = DefaultTestbed();
   config.link.loss_probability = 0.05;
   config.link.seed = 99;
-  std::string blob(32 * 1024, 'z');
+  const std::string blob = PatternedBlob(32 * 1024);
   ScriptedRemote app(blob);
   TcpFixtureResult result = RunEchoServer(config, app, false);
   EXPECT_TRUE(result.run_status.ok()) << result.run_status.ToString();
   EXPECT_EQ(result.server_got.size(), blob.size());
+  EXPECT_EQ(result.server_got, blob);
+}
+
+TEST(TcpEngine, LossyStreamOfManyWindowsArrivesExactly) {
+  // 8x the peer's 64 KiB send window over a lossy link: the peer's send
+  // buffer is compacted many times, and retransmissions read it after.
+  TestbedConfig config = DefaultTestbed();
+  config.link.loss_probability = 0.02;
+  config.link.seed = 7;
+  const std::string blob = PatternedBlob(512 * 1024);
+  ScriptedRemote app(blob);
+  TcpFixtureResult result = RunEchoServer(config, app, false);
+  EXPECT_TRUE(result.run_status.ok()) << result.run_status.ToString();
+  EXPECT_TRUE(result.got_eof);
+  EXPECT_GT(result.peer_retransmits, 0u);
+  EXPECT_EQ(result.server_got.size(), blob.size());
+  EXPECT_TRUE(result.server_got == blob) << "stream corrupted";
 }
 
 TEST(TcpEngine, SmallRecvBufferStillReceivesEverything) {
@@ -308,6 +337,44 @@ TEST(UdpEngine, ReceivesInjectedDatagram) {
   EXPECT_EQ(info.src_port, 9999);
   EXPECT_EQ(info.src_ip, MakeIpv4(10, 0, 0, 2));
   EXPECT_EQ(info.full_size, payload.size());
+}
+
+TEST(UdpEngine, QueuedDatagramOutlivesItsFrame) {
+  // Parsed payloads view the NIC's frame, which is freed once polled; the
+  // socket queue must hold its own copy. (Run under ASan to see a stale
+  // view as a use-after-free rather than as lucky bytes.)
+  Testbed bed(DefaultTestbed());
+  UdpEngine& udp = bed.stack().udp();
+  const int sock = udp.Open(5353).value();
+  std::vector<std::string> sent;
+  for (int i = 0; i < 4; ++i) {
+    sent.push_back("datagram-" + std::to_string(i) + std::string(40, 'a' + i));
+    bed.link().SendFromB(BuildUdpFrame(
+        MacAddr{{2, 0, 0, 0, 0, 0xbb}}, MacAddr{{2, 0, 0, 0, 0, 0xaa}},
+        MakeIpv4(10, 0, 0, 2), MakeIpv4(10, 0, 0, 1), 9999, 5353,
+        reinterpret_cast<const uint8_t*>(sent.back().data()),
+        sent.back().size()));
+  }
+  // No guest threads: pump the platform until every datagram is queued.
+  for (int i = 0; i < 100 && udp.stats().datagrams_rx < sent.size(); ++i) {
+    bed.link().DeliverDue();
+    bed.stack().Poll();
+    const std::optional<uint64_t> next = bed.link().NextArrivalCycles();
+    if (next.has_value()) {
+      bed.machine().clock().AdvanceTo(*next);
+    }
+  }
+  ASSERT_EQ(udp.stats().datagrams_rx, sent.size());
+  ASSERT_FALSE(bed.nic().HasRx());  // Every frame has been consumed.
+
+  AddressSpace& space = bed.image().SpaceOf(kLibApp);
+  const Gaddr buffer = bed.AllocShared(128);
+  for (const std::string& expected : sent) {
+    const UdpDatagramInfo info = udp.RecvFrom(sock, buffer, 128).value();
+    std::string got(info.bytes, '\0');
+    space.ReadUnchecked(buffer, got.data(), got.size());
+    EXPECT_EQ(got, expected);
+  }
 }
 
 }  // namespace

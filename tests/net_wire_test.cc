@@ -50,14 +50,14 @@ TEST(Wire, Ipv4RoundTripAndChecksum) {
   ip.dst = MakeIpv4(10, 0, 0, 2);
   uint8_t buffer[64] = {};
   ip.SerializeTo(buffer);
-  Result<Ipv4Header> parsed = Ipv4Header::Parse(buffer, 64);
+  Result<Ipv4Header> parsed = Ipv4Header::Parse(buffer);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->src, ip.src);
   EXPECT_EQ(parsed->dst, ip.dst);
   EXPECT_EQ(parsed->total_len, 40);
   // Corrupt a byte: checksum must fail.
   buffer[13] ^= 0xff;
-  EXPECT_FALSE(Ipv4Header::Parse(buffer, 64).ok());
+  EXPECT_FALSE(Ipv4Header::Parse(buffer).ok());
 }
 
 TEST(Wire, TcpFrameRoundTrip) {
@@ -119,9 +119,64 @@ TEST(Wire, FrameParsesInPlaceFromLargerBuffer) {
       std::span<const uint8_t>(buffer).subspan(8, frame.size());
   Result<ParsedFrame> parsed = ParseFrame(view);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->payload, std::vector<uint8_t>({4, 5, 6}));
+  EXPECT_EQ(std::vector<uint8_t>(parsed->payload.begin(),
+                                 parsed->payload.end()),
+            std::vector<uint8_t>({4, 5, 6}));
   // Cut the view short of the IP total length: rejected, not over-read.
   EXPECT_FALSE(ParseFrame(view.first(view.size() - 1)).ok());
+}
+
+// True when `view` lies entirely inside `frame`.
+bool ViewsInto(std::span<const uint8_t> view,
+               const std::vector<uint8_t>& frame) {
+  return view.data() >= frame.data() &&
+         view.data() + view.size() <= frame.data() + frame.size();
+}
+
+TEST(Wire, PayloadViewsTheParsedFrame) {
+  const std::string text = "zero-copy payload";
+  const auto* bytes = reinterpret_cast<const uint8_t*>(text.data());
+  constexpr size_t kL4At = EthHeader::kSize + Ipv4Header::kSize;
+
+  const auto tcp_frame = BuildTcpFrame(MacAddr{}, MacAddr{}, 1, 2,
+                                       TcpHeader{}, bytes, text.size());
+  Result<ParsedFrame> tcp = ParseFrame(tcp_frame);
+  ASSERT_TRUE(tcp.ok()) << tcp.status().ToString();
+  EXPECT_TRUE(ViewsInto(tcp->payload, tcp_frame));
+  EXPECT_EQ(tcp->payload.data(), tcp_frame.data() + kL4At + TcpHeader::kSize);
+  EXPECT_EQ(tcp->payload.size(), text.size());
+
+  const auto udp_frame =
+      BuildUdpFrame(MacAddr{}, MacAddr{}, 1, 2, 7, 8, bytes, text.size());
+  Result<ParsedFrame> udp = ParseFrame(udp_frame);
+  ASSERT_TRUE(udp.ok()) << udp.status().ToString();
+  EXPECT_TRUE(ViewsInto(udp->payload, udp_frame));
+  EXPECT_EQ(udp->payload.data(), udp_frame.data() + kL4At + UdpHeader::kSize);
+  EXPECT_EQ(udp->payload.size(), text.size());
+
+  const auto icmp_frame = BuildIcmpEchoFrame(MacAddr{}, MacAddr{}, 1, 2,
+                                             IcmpEcho{}, bytes, text.size());
+  Result<ParsedFrame> icmp = ParseFrame(icmp_frame);
+  ASSERT_TRUE(icmp.ok()) << icmp.status().ToString();
+  EXPECT_TRUE(ViewsInto(icmp->payload, icmp_frame));
+  EXPECT_EQ(icmp->payload.data(),
+            icmp_frame.data() + kL4At + IcmpEcho::kHeaderSize);
+  EXPECT_EQ(icmp->payload.size(), text.size());
+}
+
+TEST(Wire, UdpPayloadStopsAtUdpLength) {
+  // A UDP length shorter than the IP payload trims the view, which still
+  // starts right after the UDP header.
+  const uint8_t payload[] = {1, 2, 3};
+  auto frame = BuildUdpFrame(MacAddr{}, MacAddr{}, 1, 2, 7, 8, payload,
+                             sizeof(payload));
+  constexpr size_t kUdpLengthAt = EthHeader::kSize + Ipv4Header::kSize + 4;
+  frame[kUdpLengthAt + 1] = static_cast<uint8_t>(UdpHeader::kSize + 1);
+  Result<ParsedFrame> parsed = ParseFrame(frame);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_EQ(parsed->payload.size(), 1u);
+  EXPECT_EQ(parsed->payload[0], 1);
+  EXPECT_TRUE(ViewsInto(parsed->payload, frame));
 }
 
 TEST(Wire, ShortFrameRejected) {
