@@ -141,7 +141,6 @@ int main(int argc, char** argv) {
         }));
       }
     }
-#ifndef FLEXOS_OBS_DISABLED
     const obs::TimeSeries& series = machines[3].timeseries();
     if (series.windows_captured() == 0 || series.violations_total() == 0) {
       std::fprintf(stderr,
@@ -197,7 +196,6 @@ int main(int argc, char** argv) {
         critpath_ok = false;
       }
     }
-#endif
     const bench::LoopSample& off = variants[0];
     const bench::LoopSample& traced = variants[1];
     const bench::LoopSample& profiled = variants[2];
@@ -265,11 +263,10 @@ int main(int argc, char** argv) {
               "(hard-gated)\n",
               cycles_ok ? "yes" : "NO");
   std::printf("  flexwatch captured windows and watchdog violations: %s "
-              "(hard-gated unless built with FLEXOS_OBS_DISABLED)\n",
+              "(hard-gated)\n",
               watch_ok ? "yes" : "NO");
   std::printf("  critical path reconciled and self-calibrated against the "
-              "cost model on every backend: %s (hard-gated unless built "
-              "with FLEXOS_OBS_DISABLED)\n",
+              "cost model on every backend: %s (hard-gated)\n",
               critpath_ok ? "yes" : "NO");
   std::printf("  same-seed flexwatch JSON timelines byte-identical: %s "
               "(hard-gated)\n",

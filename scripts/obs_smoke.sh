@@ -1,9 +1,9 @@
 #!/usr/bin/env sh
 # Observability smoke under ASan+UBSan: build with FLEXOS_SANITIZE=address
 # and run the obs- and watch-labeled ctest targets (metrics, tracer,
-# attributor, flexwatch timeseries + SLO watchdogs, and the disabled-stub
-# contract). flexwatch's capture path is allocation-free in steady state
-# but its rebind/snapshot/export paths allocate — this is the leak- and
+# attributor, critical path, flexwatch timeseries + SLO watchdogs).
+# flexwatch's capture path is allocation-free in steady state but its
+# rebind/snapshot/export paths allocate — this is the leak- and
 # overflow-check for those. TSan coverage for the same labels lives in
 # scripts/tsan_smoke.sh.
 #

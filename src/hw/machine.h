@@ -156,8 +156,7 @@ class Machine {
   const obs::MetricsRegistry& metrics() const { return metrics_; }
 
   // Event tracer; records in virtual (modeled) time. Disabled by default —
-  // enable with tracer().SetEnabled(true) or compile out entirely with
-  // -DFLEXOS_OBS_DISABLED.
+  // enable with tracer().SetEnabled(true).
   obs::Tracer& tracer() { return tracer_; }
   const obs::Tracer& tracer() const { return tracer_; }
 

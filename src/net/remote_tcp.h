@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <deque>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "hw/machine.h"
@@ -174,10 +175,16 @@ class RemoteHub final : public LinkEndpoint {
 
   void Register(LinkEndpoint* endpoint) { endpoints_.push_back(endpoint); }
 
+  // Peers filter by port, so each needs the whole frame: all but the last
+  // get a copy, and the last takes the frame itself.
   void DeliverFrame(std::vector<uint8_t> frame) override {
-    for (LinkEndpoint* endpoint : endpoints_) {
-      endpoint->DeliverFrame(frame);  // Copy: peers filter by port.
+    if (endpoints_.empty()) {
+      return;
     }
+    for (size_t i = 0; i + 1 < endpoints_.size(); ++i) {
+      endpoints_[i]->DeliverFrame(frame);
+    }
+    endpoints_.back()->DeliverFrame(std::move(frame));
   }
 
  private:

@@ -1,12 +1,9 @@
-#ifndef FLEXOS_OBS_DISABLED
-
 #include "obs/attrib.h"
 
 #include "obs/names.h"
 
 namespace flexos {
 namespace obs {
-inline namespace obs_enabled {
 
 Attributor::Attributor() {
   ThreadState& platform = states_[0];
@@ -302,8 +299,5 @@ void Attributor::Reset(uint64_t now_cycles) {
   lanes_[current_lane_].anchored = true;
 }
 
-}  // namespace obs_enabled
 }  // namespace obs
 }  // namespace flexos
-
-#endif  // FLEXOS_OBS_DISABLED

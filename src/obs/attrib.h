@@ -21,9 +21,8 @@
 // The attributor observes the clock; it never charges it. Enabling it must
 // not change modeled cycles (hard-gated by bench/abl_obs_overhead).
 //
-// Like the tracer, the real implementation lives in inline namespace
-// obs_enabled and an all-inline no-op stub in obs_disabled, selected by
-// FLEXOS_OBS_DISABLED so instrumentation sites compile away without ifdefs.
+// Like the tracer, the attributor is switched at run time only: while it is
+// disabled, each recording hook returns after one check of enabled().
 // The obs layer sits below support/ — no other flexos headers here.
 #ifndef FLEXOS_OBS_ATTRIB_H_
 #define FLEXOS_OBS_ATTRIB_H_
@@ -77,9 +76,6 @@ struct FlameEntry {
   std::string stack;  // "thread;lib;...;gate:<backend>"
   uint64_t cycles = 0;
 };
-
-#ifndef FLEXOS_OBS_DISABLED
-inline namespace obs_enabled {
 
 class Attributor {
  public:
@@ -220,55 +216,6 @@ class Attributor {
   std::map<uint64_t, RequestRecord> requests_;
   uint64_t next_request_id_ = 1;
 };
-
-}  // namespace obs_enabled
-#else  // FLEXOS_OBS_DISABLED
-
-inline namespace obs_disabled {
-
-// No-op stub: every member compiles to nothing, so instrumentation sites in
-// sched/core/net cost zero when observability is compiled out.
-class Attributor {
- public:
-  Attributor() = default;
-  Attributor(const Attributor&) = delete;
-  Attributor& operator=(const Attributor&) = delete;
-
-  void SetEnabled(bool, uint64_t) {}
-  static constexpr bool enabled() { return false; }
-
-  void ActivateThread(uint64_t, std::string_view, uint64_t) {}
-  void PushFrame(std::string_view, int, uint64_t) {}
-  void PushGateFrame(std::string_view, uint64_t) {}
-  void PopFrame(uint64_t) {}
-  static constexpr size_t frame_depth() { return 0; }
-  void UnwindFramesTo(size_t, uint64_t) {}
-
-  TraceContext BeginRequest(std::string_view, uint64_t, uint64_t) {
-    return TraceContext{};
-  }
-  void EndRequest(uint64_t, uint64_t, uint64_t) {}
-  static constexpr uint64_t current_request() { return 0; }
-  void OnGateCrossing(std::string_view, int, int, uint64_t) {}
-  void Sync(uint64_t) {}
-  void SwitchLane(int, uint64_t, uint64_t) {}
-  void SyncLane(int, uint64_t) {}
-  static constexpr uint64_t lane_attributed_cycles(int) { return 0; }
-  static constexpr int current_lane() { return 0; }
-
-  std::vector<FlameEntry> Flame() const { return {}; }
-  std::string CollapsedStacks() const { return {}; }
-  std::map<int, uint64_t> CompartmentCycles() const { return {}; }
-  std::map<std::string, uint64_t> BackendGateCycles() const { return {}; }
-  std::vector<const RequestRecord*> Requests() const { return {}; }
-  const RequestRecord* FindRequest(uint64_t) const { return nullptr; }
-  static constexpr uint64_t requests_started() { return 0; }
-  static constexpr uint64_t attributed_cycles() { return 0; }
-  void Reset(uint64_t) {}
-};
-
-}  // namespace obs_disabled
-#endif  // FLEXOS_OBS_DISABLED
 
 }  // namespace obs
 }  // namespace flexos

@@ -27,8 +27,6 @@ std::string_view SegmentKindName(SegmentKind kind) {
   return "unknown";
 }
 
-#ifndef FLEXOS_OBS_DISABLED
-
 namespace {
 
 void AppendU64(std::string* out, uint64_t v) {
@@ -51,8 +49,6 @@ bool IsVmRpcBoundary(const std::string& name) {
 }
 
 }  // namespace
-
-inline namespace obs_enabled {
 
 void CriticalPath::Build(const Attributor& attrib,
                          const MetricsRegistry& metrics,
@@ -390,10 +386,6 @@ std::string CriticalPath::ToJson() const {
   out += "]}";
   return out;
 }
-
-}  // inline namespace obs_enabled
-
-#endif  // FLEXOS_OBS_DISABLED
 
 }  // namespace obs
 }  // namespace flexos

@@ -39,10 +39,6 @@
 // Layering: obs sits below hw/, so this header cannot name Clock or
 // CostModel — callers pass a cycles->ns conversion and the modeled IPI cost
 // as plain values.
-//
-// Compile-time stub parity: with -DFLEXOS_OBS_DISABLED CriticalPath is an
-// all-inline no-op in the obs_disabled inline namespace (the trace.h
-// pattern); the path/share structs are shared plain data either way.
 #ifndef FLEXOS_OBS_CRITPATH_H_
 #define FLEXOS_OBS_CRITPATH_H_
 
@@ -114,10 +110,6 @@ struct BoundaryShare {
   double critpath_share = 0;        // gate_ns / total_path_ns.
 };
 
-#ifndef FLEXOS_OBS_DISABLED
-
-inline namespace obs_enabled {
-
 class CriticalPath {
  public:
   using CyclesToNs = std::function<uint64_t(uint64_t)>;
@@ -185,53 +177,6 @@ class CriticalPath {
   uint64_t ipis_ = 0;
   CyclesToNs cycles_to_ns_;
 };
-
-}  // inline namespace obs_enabled
-
-#else  // FLEXOS_OBS_DISABLED
-
-inline namespace obs_disabled {
-
-// Zero-cost stub: same surface, every member inline and empty.
-class CriticalPath {
- public:
-  using CyclesToNs = std::function<uint64_t(uint64_t)>;
-
-  CriticalPath() = default;
-  CriticalPath(const CriticalPath&) = delete;
-  CriticalPath& operator=(const CriticalPath&) = delete;
-
-  void Build(const Attributor&, const MetricsRegistry&,
-             const std::vector<TraceEvent>&, CyclesToNs, uint64_t) {}
-  const std::vector<RequestPath>& requests() const {
-    static const std::vector<RequestPath> kEmpty;
-    return kEmpty;
-  }
-  const std::vector<BoundaryShare>& boundaries() const {
-    static const std::vector<BoundaryShare> kEmpty;
-    return kEmpty;
-  }
-  static constexpr uint64_t total_path_ns() { return 0; }
-  static constexpr bool reconciled() { return true; }
-  const std::string& reconcile_detail() const {
-    static const std::string kOk = "ok";
-    return kOk;
-  }
-  static constexpr uint64_t WhatIfTotalNs(std::string_view, uint64_t) {
-    return 0;
-  }
-  const BoundaryShare* FindBoundary(std::string_view) const {
-    return nullptr;
-  }
-  static constexpr uint64_t queue_edges() { return 0; }
-  static constexpr uint64_t steals() { return 0; }
-  static constexpr uint64_t ipis() { return 0; }
-  std::string ToJson() const { return "{}"; }
-};
-
-}  // inline namespace obs_disabled
-
-#endif  // FLEXOS_OBS_DISABLED
 
 }  // namespace obs
 }  // namespace flexos

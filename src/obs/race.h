@@ -12,9 +12,8 @@
 // In the mold of Image::EnableDispatchValidation, this is a debug-mode
 // validator behind a runtime flag: it observes the model and never charges
 // the clock, so enabling it leaves modeled cycles bit-identical
-// (bench/abl_smp.cc gates this). Like TraceBuffer, the detector is plain
-// data machinery and is not compiled out under FLEXOS_OBS_DISABLED — only
-// the trace emission used for offline replay goes through the Tracer stub.
+// (bench/abl_smp.cc gates this). The trace emission used for offline
+// replay goes through the Tracer and follows its runtime switch.
 #ifndef FLEXOS_OBS_RACE_H_
 #define FLEXOS_OBS_RACE_H_
 

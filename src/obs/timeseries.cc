@@ -183,10 +183,6 @@ std::string SloSpecToString(const SloSpec& spec) {
   return out;
 }
 
-#ifndef FLEXOS_OBS_DISABLED
-
-inline namespace obs_enabled {
-
 void TimeSeries::Enable(uint64_t window_cycles, size_t ring_windows) {
   if (window_cycles == 0 || registry_ == nullptr) {
     // Zero-length windows would close at every poll; stay disabled.
@@ -478,10 +474,6 @@ std::vector<WindowSnapshot> TimeSeries::Snapshot() const {
   }
   return out;
 }
-
-}  // inline namespace obs_enabled
-
-#endif  // FLEXOS_OBS_DISABLED
 
 }  // namespace obs
 }  // namespace flexos

@@ -30,11 +30,6 @@
 // declaration order, over that window's deltas. A violation bumps
 // slo.violations.<name>, emits a cat=slo trace instant, and invokes an
 // optional hook (the testbed wires it to the fault supervisor).
-//
-// Compile-time stub parity: with -DFLEXOS_OBS_DISABLED the TimeSeries is an
-// all-inline no-op in the obs_disabled inline namespace (the trace.h
-// pattern). SloSpec, its parser, and the snapshot types are plain shared
-// data — config parsing and exporters keep working either way.
 #ifndef FLEXOS_OBS_TIMESERIES_H_
 #define FLEXOS_OBS_TIMESERIES_H_
 
@@ -143,10 +138,6 @@ struct SloViolation {
   double measured = 0;
   double threshold = 0;
 };
-
-#ifndef FLEXOS_OBS_DISABLED
-
-inline namespace obs_enabled {
 
 class TimeSeries {
  public:
@@ -269,45 +260,6 @@ class TimeSeries {
   std::function<void(const SloViolation&)> hook_;
   std::function<void(const WindowSnapshot&)> window_hook_;
 };
-
-}  // inline namespace obs_enabled
-
-#else  // FLEXOS_OBS_DISABLED
-
-inline namespace obs_disabled {
-
-// Zero-cost stub: same surface, every member inline and empty, so poll
-// sites and testbed wiring compile to nothing.
-class TimeSeries {
- public:
-  static constexpr size_t kDefaultRingWindows = 64;
-
-  TimeSeries() = default;
-  TimeSeries(const TimeSeries&) = delete;
-  TimeSeries& operator=(const TimeSeries&) = delete;
-
-  void BindObs(MetricsRegistry*, Tracer*) {}
-  void Enable(uint64_t, size_t = kDefaultRingWindows) {}
-  void Disable() {}
-  bool enabled() const { return false; }
-  uint64_t window_cycles() const { return 0; }
-  void AddWatchdog(const SloSpec&) {}
-  const std::vector<SloSpec>& watchdogs() const {
-    static const std::vector<SloSpec> kEmpty;
-    return kEmpty;
-  }
-  void SetViolationHook(std::function<void(const SloViolation&)>) {}
-  void SetWindowHook(std::function<void(const WindowSnapshot&)>) {}
-  void MaybeCapture(uint64_t) {}
-  void FinalizeTail(uint64_t) {}
-  uint64_t windows_captured() const { return 0; }
-  uint64_t violations_total() const { return 0; }
-  std::vector<WindowSnapshot> Snapshot() const { return {}; }
-};
-
-}  // inline namespace obs_disabled
-
-#endif  // FLEXOS_OBS_DISABLED
 
 }  // namespace obs
 }  // namespace flexos

@@ -1,12 +1,9 @@
-#ifndef FLEXOS_OBS_DISABLED
-
 #include "obs/trace.h"
 
 #include <algorithm>
 
 namespace flexos {
 namespace obs {
-inline namespace obs_enabled {
 
 namespace {
 
@@ -95,8 +92,5 @@ void TraceLogMessage(std::string_view severity, std::string_view message) {
   tracer->RecordMessage(TraceCat::kLog, name, message, /*tid=*/0);
 }
 
-}  // inline namespace obs_enabled
 }  // namespace obs
 }  // namespace flexos
-
-#endif  // FLEXOS_OBS_DISABLED

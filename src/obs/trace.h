@@ -5,15 +5,10 @@
 // obs/export.h.
 //
 // Cost story, in layers:
-//   * Compile time: building with -DFLEXOS_OBS_DISABLED swaps Tracer for an
-//     all-inline no-op stub — call sites compile to nothing. The stub and
-//     the real class live in distinct inline namespaces (obs_enabled /
-//     obs_disabled) so a stub-compiled TU can link against the enabled
-//     library without ODR violations; only the active variant is reachable
-//     as flexos::obs::Tracer in any given TU.
 //   * Runtime: tracing defaults OFF. Every record call first checks one
 //     relaxed atomic bool; bench/abl_obs_overhead.cc asserts this check
-//     keeps gate dispatch cost-identical to the PR 1 fast path.
+//     keeps gate dispatch cost-identical to the uninstrumented fast path.
+//     This is the only off switch.
 //   * Record path (tracing on): resolve the calling thread's ring through a
 //     generation-checked thread-local cache, then one
 //     slot write + relaxed index bump. No locks, no allocation.
@@ -111,10 +106,6 @@ class TraceBuffer {
   std::vector<TraceEvent> slots_;
   std::atomic<uint64_t> next_{0};
 };
-
-#ifndef FLEXOS_OBS_DISABLED
-
-inline namespace obs_enabled {
 
 class Tracer {
  public:
@@ -234,46 +225,6 @@ class Tracer {
 // Records a warn+ log line as a trace event on the active tracer, if any.
 // Out-of-line so support/log.cc needs no tracer internals.
 void TraceLogMessage(std::string_view severity, std::string_view message);
-
-}  // inline namespace obs_enabled
-
-#else  // FLEXOS_OBS_DISABLED
-
-inline namespace obs_disabled {
-
-// Zero-cost stub: same surface as the enabled Tracer, every member inline
-// and empty, so instrumented call sites disappear at -O1.
-class Tracer {
- public:
-  static constexpr size_t kDefaultCapacity = 16384;
-  using TimeSourceFn = uint64_t (*)(void* ctx);
-
-  explicit Tracer(size_t = kDefaultCapacity) {}
-  Tracer(const Tracer&) = delete;
-  Tracer& operator=(const Tracer&) = delete;
-
-  void SetEnabled(bool) {}
-  bool enabled() const { return false; }
-  void SetTimeSource(TimeSourceFn, void*) {}
-  uint64_t NowNs() const { return 0; }
-  void SetCurrentVCpu(int32_t) {}
-  void RecordComplete(TraceCat, const char*, uint64_t, uint64_t, int32_t,
-                      uint64_t = 0, uint64_t = 0, uint64_t = 0) {}
-  void RecordInstant(TraceCat, const char*, int32_t, uint64_t = 0,
-                     uint64_t = 0) {}
-  void RecordMessage(TraceCat, const char*, std::string_view, int32_t) {}
-  std::vector<TraceEvent> Snapshot() const { return {}; }
-  uint64_t DroppedEvents() const { return 0; }
-  size_t buffer_count() const { return 0; }
-  static Tracer* Active() { return nullptr; }
-  static void SetActive(Tracer*) {}
-};
-
-inline void TraceLogMessage(std::string_view, std::string_view) {}
-
-}  // inline namespace obs_disabled
-
-#endif  // FLEXOS_OBS_DISABLED
 
 }  // namespace obs
 }  // namespace flexos

@@ -25,8 +25,6 @@ ImageConfig NetAppConfig(IsolationBackend backend) {
   return config;
 }
 
-#ifndef FLEXOS_OBS_DISABLED
-
 // Runs `calls` cached-route net->app crossings with tracing + attribution on
 // and rebuilds the critical path. The machine must outlive the CriticalPath:
 // the what-if engine keeps the cycles->ns conversion bound to its clock.
@@ -237,33 +235,6 @@ TEST(CritpathTest, SmpRunStampsStealAndIpiEdges) {
   EXPECT_GT(critpath.steals(), 0u);
   EXPECT_EQ(critpath.ipis(), 1u);
 }
-
-#else  // FLEXOS_OBS_DISABLED
-
-// Stub contract: the disabled CriticalPath compiles against the same call
-// sites, records nothing, and stays "reconciled".
-TEST(CritpathDisabledTest, StubIsInertButLinkable) {
-  Machine machine;
-  ImageBuilder builder(machine);
-  auto image =
-      builder.Build(NetAppConfig(IsolationBackend::kMpkSharedStack)).value();
-  const RouteHandle route = image->Resolve(kLibNet, kLibApp);
-  image->Call(route, [] {});
-
-  obs::CriticalPath critpath;
-  const Clock& clock = machine.clock_of(0);
-  critpath.Build(machine.attrib(), machine.metrics(),
-                 machine.tracer().Snapshot(),
-                 [&clock](uint64_t c) { return clock.CyclesToNanos(c); },
-                 machine.costs().ipi);
-  EXPECT_TRUE(critpath.reconciled());
-  EXPECT_TRUE(critpath.requests().empty());
-  EXPECT_TRUE(critpath.boundaries().empty());
-  EXPECT_EQ(critpath.total_path_ns(), 0u);
-  EXPECT_EQ(critpath.ToJson(), "{}");
-}
-
-#endif  // FLEXOS_OBS_DISABLED
 
 }  // namespace
 }  // namespace flexos

@@ -571,10 +571,6 @@ TEST(TraceEventTest, SetTextTruncatesSafely) {
   EXPECT_STREQ(event.text, "short");
 }
 
-// Live-Tracer behavior; compiled out when this tree stubs the tracer
-// (tests/obs_disabled_test.cc covers the stub contract instead).
-#ifndef FLEXOS_OBS_DISABLED
-
 TEST(TracerTest, SnapshotSortedByTimestamp) {
   obs::Tracer tracer(16);
   tracer.SetEnabled(true);
@@ -608,8 +604,6 @@ TEST(TracerTest, MessageCarriesTruncatedText) {
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(std::strlen(events[0].text), sizeof(events[0].text) - 1);
 }
-
-#endif  // FLEXOS_OBS_DISABLED
 
 // ---------------------------------------------------------------------------
 // Exporters.
@@ -685,7 +679,7 @@ void ValidateChromeTrace(const std::string& json, size_t expect_events) {
 
 TEST(ExportTest, ChromeTraceSchema) {
   // Built from plain TraceEvent data so the exporter contract is checked
-  // in both the enabled and FLEXOS_OBS_DISABLED builds.
+  // without a live tracer.
   std::vector<obs::TraceEvent> events;
   obs::TraceEvent span;
   span.ts_ns = 1500;
@@ -777,14 +771,12 @@ TEST(LogBridgeTest, SinkReceivesRecordsAndTracerMirrorsWarnings) {
   EXPECT_EQ(captured.levels[0], LogLevel::kInfo);
   EXPECT_EQ(captured.messages[1], "watch out now");
 
-#ifndef FLEXOS_OBS_DISABLED
   // Only the warn+ line is mirrored into the trace.
   const auto events = machine.tracer().Snapshot();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_STREQ(events[0].name, "log.warn");
   EXPECT_STREQ(events[0].text, "watch out now");
   EXPECT_EQ(events[0].cat, obs::TraceCat::kLog);
-#endif
 }
 
 TEST(LogBridgeTest, LogLevelKnobIsReadBack) {
@@ -831,7 +823,6 @@ TEST(ObsIntegrationTest, ImageCallPopulatesBoundaryMetrics) {
   EXPECT_EQ(it->second.crossings, 10u);
 }
 
-#ifndef FLEXOS_OBS_DISABLED
 TEST(ObsIntegrationTest, GateSpansTracedWhenEnabled) {
   Machine machine;
   machine.tracer().SetEnabled(true);
@@ -886,12 +877,9 @@ TEST(ObsIntegrationTest, GateSpansTracedWhenEnabled) {
   image->Call(same, [] {});
   expect_one_new_span("direct", same.to_comp + 1, 0, 0);
 }
-#endif  // FLEXOS_OBS_DISABLED
 
 // ---------------------------------------------------------------------------
-// Attributor: exact cycle attribution and request accounting (PR 4). Live
-// implementation only; tests/obs_disabled_test.cc covers the stub contract.
-#ifndef FLEXOS_OBS_DISABLED
+// Attributor: exact cycle attribution and request accounting.
 
 TEST(AttributorTest, ChargesNestedFramesAndConserves) {
   obs::Attributor attrib;
@@ -1005,6 +993,13 @@ TEST(AttributorTest, DisabledRecordsNothing) {
   EXPECT_EQ(attrib.attributed_cycles(), 0u);
   EXPECT_TRUE(attrib.Flame().empty());
   EXPECT_FALSE(static_cast<bool>(attrib.BeginRequest("r", 0, 0)));
+  EXPECT_EQ(attrib.current_request(), 0u);
+  EXPECT_TRUE(attrib.Requests().empty());
+
+  // An open record (end_ns still 0) reports no wall time yet.
+  obs::RequestRecord open;
+  open.start_ns = 100;
+  EXPECT_EQ(open.WallNanos(), 0u);
 }
 
 // Acceptance: run a real iperf transfer with the profiler on and reconcile
@@ -1095,8 +1090,6 @@ TEST(ObsIntegrationTest, IperfRequestReconcilesWithGateHistograms) {
   EXPECT_EQ(request_sums, histogram_sums);
   EXPECT_EQ(request_crossings, histogram_crossings);
 }
-
-#endif  // FLEXOS_OBS_DISABLED
 
 // ---------------------------------------------------------------------------
 // Per-vCPU gate counters: the ".v<N>" split (image.cc) appends a fifth
