@@ -8,18 +8,6 @@
 namespace flexos {
 namespace fault {
 
-std::string_view CompartmentHealthName(CompartmentHealth health) {
-  switch (health) {
-    case CompartmentHealth::kHealthy:
-      return "healthy";
-    case CompartmentHealth::kQuarantined:
-      return "quarantined";
-    case CompartmentHealth::kFailed:
-      return "failed";
-  }
-  return "?";
-}
-
 CompartmentSupervisor::CompartmentSupervisor(Image& image,
                                              RestartPolicy default_policy)
     : image_(image), default_policy_(default_policy) {

@@ -45,8 +45,6 @@ enum class CompartmentHealth : uint8_t {
   kFailed,       // Restart budget exhausted; permanently unavailable.
 };
 
-std::string_view CompartmentHealthName(CompartmentHealth health);
-
 // One contained trap and (if reached) the restart that recovered from it.
 struct RecoveryEpisode {
   int compartment = -1;

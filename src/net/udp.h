@@ -12,7 +12,7 @@
 #include "net/wire.h"
 #include "sched/scheduler.h"
 #include "support/gate_router.h"
-#include "vmem/access.h"
+#include "vmem/address_space.h"
 
 namespace flexos {
 

@@ -129,16 +129,6 @@ TcpHeader TcpHeader::Parse(const uint8_t* data) {
   return header;
 }
 
-std::string TcpHeader::FlagsToString() const {
-  std::string out;
-  if (flags & kTcpSyn) out += 'S';
-  if (flags & kTcpAck) out += 'A';
-  if (flags & kTcpFin) out += 'F';
-  if (flags & kTcpRst) out += 'R';
-  if (flags & kTcpPsh) out += 'P';
-  return out.empty() ? "-" : out;
-}
-
 void UdpHeader::SerializeTo(uint8_t* out) const {
   PutU16(out, src_port);
   PutU16(out + 2, dst_port);

@@ -89,8 +89,6 @@ struct TcpHeader {
 
   void SerializeTo(uint8_t* out) const;
   static TcpHeader Parse(const uint8_t* data);
-
-  std::string FlagsToString() const;
 };
 
 struct UdpHeader {

@@ -116,11 +116,6 @@ const Counter* MetricsRegistry::FindCounter(std::string_view name) const {
   return it == counters_.end() ? nullptr : &it->second;
 }
 
-const Gauge* MetricsRegistry::FindGauge(std::string_view name) const {
-  auto it = gauges_.find(name);
-  return it == gauges_.end() ? nullptr : &it->second;
-}
-
 const LatencyHistogram* MetricsRegistry::FindHistogram(
     std::string_view name) const {
   auto it = histograms_.find(name);

@@ -181,7 +181,6 @@ class MetricsRegistry {
 
   // Read-only lookups; nullptr when the metric was never registered.
   const Counter* FindCounter(std::string_view name) const;
-  const Gauge* FindGauge(std::string_view name) const;
   const LatencyHistogram* FindHistogram(std::string_view name) const;
 
   // Convenience: counter value or 0 when absent.

@@ -53,11 +53,6 @@ bool StartsWith(std::string_view text, std::string_view prefix) {
          text.substr(0, prefix.size()) == prefix;
 }
 
-bool EndsWith(std::string_view text, std::string_view suffix) {
-  return text.size() >= suffix.size() &&
-         text.substr(text.size() - suffix.size()) == suffix;
-}
-
 std::optional<uint64_t> ParseU64(std::string_view text) {
   if (text.empty()) {
     return std::nullopt;

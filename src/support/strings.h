@@ -20,7 +20,6 @@ std::vector<std::string_view> SplitString(std::string_view text, char sep);
 std::vector<std::string_view> SplitAndTrim(std::string_view text, char sep);
 
 bool StartsWith(std::string_view text, std::string_view prefix);
-bool EndsWith(std::string_view text, std::string_view suffix);
 
 // Parses a base-10 unsigned integer; rejects trailing garbage.
 std::optional<uint64_t> ParseU64(std::string_view text);

@@ -6,7 +6,6 @@
 #include "alloc/buddy_allocator.h"
 #include "alloc/freelist_heap.h"
 #include "alloc/hardened_heap.h"
-#include "alloc/region_allocator.h"
 #include "support/rng.h"
 
 namespace flexos {
@@ -23,31 +22,6 @@ class AllocTest : public ::testing::Test {
   Machine machine_;
   AddressSpace space_{machine_, "alloc-test", 8 << 20};
 };
-
-// --- RegionAllocator --------------------------------------------------------
-
-TEST_F(AllocTest, RegionBumpsAndAligns) {
-  RegionAllocator region(space_, 0, kArena);
-  const Gaddr a = region.Allocate(10, 16).value();
-  const Gaddr b = region.Allocate(10, 64).value();
-  EXPECT_EQ(a % 16, 0u);
-  EXPECT_EQ(b % 64, 0u);
-  EXPECT_GT(b, a);
-  EXPECT_TRUE(region.Free(a).ok());
-}
-
-TEST_F(AllocTest, RegionExhausts) {
-  RegionAllocator region(space_, 0, 128);
-  EXPECT_TRUE(region.Allocate(100).ok());
-  EXPECT_EQ(region.Allocate(100).code(), ErrorCode::kOutOfMemory);
-  region.Reset();
-  EXPECT_TRUE(region.Allocate(100).ok());
-}
-
-TEST_F(AllocTest, RegionRejectsBadAlign) {
-  RegionAllocator region(space_, 0, kArena);
-  EXPECT_EQ(region.Allocate(8, 3).code(), ErrorCode::kInvalidArgument);
-}
 
 // --- BuddyAllocator ---------------------------------------------------------
 

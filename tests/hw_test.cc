@@ -144,7 +144,8 @@ TEST(Trap, RaiseThrowsWithInfo) {
   try {
     RaiseTrap(TrapInfo{.kind = TrapKind::kProtectionFault,
                        .access = AccessKind::kWrite,
-                       .guest_addr = 0x1234});
+                       .guest_addr = 0x1234,
+                       .detail = {}});
     FAIL() << "RaiseTrap returned";
   } catch (const TrapException& trap) {
     EXPECT_EQ(trap.info().kind, TrapKind::kProtectionFault);

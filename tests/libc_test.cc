@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "libc/format.h"
-#include "libc/gstring.h"
 #include "libc/ring_buffer.h"
 #include "libc/semaphore.h"
 #include "sched/coop_scheduler.h"
@@ -19,52 +17,6 @@ class LibcTest : public ::testing::Test {
   Machine machine_;
   AddressSpace space_{machine_, "libc-test", 2 << 20};
 };
-
-TEST_F(LibcTest, StrcpyStrlenStrOut) {
-  GStrcpyIn(space_, 64, "flexos");
-  EXPECT_EQ(GStrlen(space_, 64, 100), 6u);
-  EXPECT_EQ(GStrOut(space_, 64, 100), "flexos");
-}
-
-TEST_F(LibcTest, StrlenHitsMax) {
-  space_.Fill(0, 'x', 64);
-  EXPECT_EQ(GStrlen(space_, 0, 64), 64u);
-}
-
-TEST_F(LibcTest, MemcmpOrdersLikeC) {
-  GStrcpyIn(space_, 0, "abcd");
-  GStrcpyIn(space_, 100, "abce");
-  EXPECT_LT(GMemcmp(space_, 0, 100, 4), 0);
-  EXPECT_GT(GMemcmp(space_, 100, 0, 4), 0);
-  EXPECT_EQ(GMemcmp(space_, 0, 100, 3), 0);
-}
-
-TEST_F(LibcTest, MemcpyAndMemset) {
-  GStrcpyIn(space_, 0, "payload");
-  GMemcpy(space_, 512, 0, 8);
-  EXPECT_EQ(GStrOut(space_, 512, 100), "payload");
-  GMemset(space_, 512, 0, 8);
-  EXPECT_EQ(GStrlen(space_, 512, 8), 0u);
-}
-
-TEST_F(LibcTest, FormatWritesBoundedString) {
-  const uint64_t n = GFormat(space_, 0, 64, "%s=%d", "key", 42);
-  EXPECT_EQ(n, 6u);
-  EXPECT_EQ(GStrOut(space_, 0, 64), "key=42");
-  // Truncation keeps the NUL inside the cap.
-  const uint64_t m = GFormat(space_, 100, 4, "%s", "longvalue");
-  EXPECT_EQ(m, 3u);
-  EXPECT_EQ(GStrOut(space_, 100, 64), "lon");
-}
-
-TEST_F(LibcTest, ParseDecimal) {
-  GStrcpyIn(space_, 0, "12345x");
-  EXPECT_EQ(GParseDecimal(space_, 0, 6).value(), 12345);
-  GStrcpyIn(space_, 50, "-42");
-  EXPECT_EQ(GParseDecimal(space_, 50, 3).value(), -42);
-  GStrcpyIn(space_, 80, "abc");
-  EXPECT_FALSE(GParseDecimal(space_, 80, 3).has_value());
-}
 
 // --- RingBuffer -------------------------------------------------------------
 
@@ -112,10 +64,12 @@ TEST_F(LibcTest, RingPeekAndDiscard) {
 
 TEST_F(LibcTest, RingGuestSideTransfer) {
   RingBuffer ring = RingBuffer::Create(space_, 0, 256);
-  GStrcpyIn(space_, 4096, "guest-data");
+  space_.Write(4096, "guest-data", 10);
   EXPECT_EQ(ring.PushFromGuest(4096, 10), 10u);
   EXPECT_EQ(ring.PopToGuest(8192, 10), 10u);
-  EXPECT_EQ(GStrOut(space_, 8192, 32), "guest-data");
+  char out[10];
+  space_.Read(8192, out, sizeof(out));
+  EXPECT_EQ(std::string(out, sizeof(out)), "guest-data");
 }
 
 TEST_F(LibcTest, RingAttachSeesSameState) {

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "alloc/freelist_heap.h"
-#include "libc/gstring.h"
 #include "libc/msg_queue.h"
 #include "sched/coop_scheduler.h"
 
@@ -37,8 +36,10 @@ TEST_F(MsgQueueTest, CreateValidatesArguments) {
 
 TEST_F(MsgQueueTest, FifoRoundTrip) {
   auto queue = MakeQueue(4, 64);
+  // Each message is "msg<i>" plus its NUL: 5 bytes.
   for (int i = 0; i < 3; ++i) {
-    GStrcpyIn(space_, scratch_, "msg" + std::to_string(i));
+    const std::string msg = "msg" + std::to_string(i);
+    space_.Write(scratch_, msg.c_str(), msg.size() + 1);
     ASSERT_TRUE(queue->TrySend(scratch_, 5).ok());
   }
   EXPECT_EQ(queue->size(), 3u);
@@ -46,8 +47,10 @@ TEST_F(MsgQueueTest, FifoRoundTrip) {
     Result<uint32_t> size = queue->TryRecv(scratch_ + 512, 64);
     ASSERT_TRUE(size.ok());
     EXPECT_EQ(size.value(), 5u);
-    EXPECT_EQ(GStrOut(space_, scratch_ + 512, 64),
-              "msg" + std::to_string(i));
+    char out[5];
+    space_.Read(scratch_ + 512, out, sizeof(out));
+    EXPECT_EQ(std::string(out, sizeof(out)),
+              "msg" + std::to_string(i) + '\0');
   }
   EXPECT_TRUE(queue->Empty());
 }

@@ -139,7 +139,8 @@ TEST(CoopScheduler, TrapInThreadSurfacesAsFatal) {
   CoopScheduler sched(machine);
   Thread* thread = sched.Spawn("crasher", [] {
     RaiseTrap(TrapInfo{.kind = TrapKind::kProtectionFault,
-                       .guest_addr = 0xbad});
+                       .guest_addr = 0xbad,
+                       .detail = {}});
   }).value();
   const Status status = sched.Run();
   EXPECT_EQ(status.code(), ErrorCode::kBadState);

@@ -110,7 +110,7 @@ TEST(Rng, NextDoubleInUnitInterval) {
 
 struct Node {
   int value = 0;
-  ListNode link;
+  ListNode link{};
   static constexpr ListNode Node::* kLink = &Node::link;
 };
 

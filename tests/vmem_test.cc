@@ -1,8 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "vmem/access.h"
 #include "vmem/address_space.h"
-#include "vmem/shadow.h"
 
 namespace flexos {
 namespace {
@@ -294,26 +292,6 @@ TEST_F(ShadowTest, IsPoisonedReflectsState) {
   space_.Poison(0, 64, kShadowFreed);
   EXPECT_TRUE(space_.IsPoisoned(0, 64));
   EXPECT_TRUE(space_.IsPoisoned(32, 8));
-}
-
-TEST(ShadowNames, CodesHaveNames) {
-  EXPECT_EQ(ShadowCodeName(kShadowAddressable), "addressable");
-  EXPECT_EQ(ShadowCodeName(kShadowHeapRedzone), "heap-redzone");
-  EXPECT_EQ(ShadowCodeName(kShadowFreed), "heap-freed");
-  EXPECT_EQ(ShadowCodeName(3), "partially-addressable");
-}
-
-// --- GuestSlice -------------------------------------------------------------
-
-TEST_F(VmemTest, GuestSliceBounds) {
-  ASSERT_TRUE(space_.Map(0, kPageSize, 0).ok());
-  GuestSlice slice(space_, 0, 128);
-  slice.WriteTAt<uint32_t>(0, 77);
-  EXPECT_EQ(slice.ReadTAt<uint32_t>(0), 77u);
-  GuestSlice sub = slice.Sub(64, 64);
-  EXPECT_EQ(sub.addr(), 64u);
-  EXPECT_EQ(sub.size(), 64u);
-  EXPECT_EQ(slice.ToVector().size(), 128u);
 }
 
 }  // namespace
